@@ -1,11 +1,10 @@
-// Hot-path benchmark for Algorithm 3's sampling kernel: the legacy scalar
-// pipeline (polar Gaussian + per-row triangular multiply + per-cell
-// std::lower_bound inversion) against the tiled production pipeline
-// (ziggurat fill + blocked Cholesky + guide-table inversion). Rows/sec is
-// reported via SetItemsProcessed, so google-benchmark's items_per_second
-// field is the figure of merit that tools/bench_to_json extracts into
-// BENCH_sampler.json. The acceptance configuration is m = 10, N = 1M,
-// single thread.
+// Hot-path benchmark for Algorithm 3's tiled sampling kernel (ziggurat
+// fill + blocked Cholesky + guide-table inversion), Gaussian and Student-t.
+// Each iteration builds the plan and samples, as a one-shot caller does.
+// Rows/sec is reported via SetItemsProcessed, so google-benchmark's
+// items_per_second field is the figure of merit that tools/bench_to_json
+// extracts into BENCH_sampler.json. The acceptance configuration is
+// m = 10, N = 1M, single thread.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -23,8 +22,7 @@ namespace {
 using dpcopula::GaussianMethod;
 using dpcopula::Rng;
 using dpcopula::copula::SampleSyntheticData;
-using dpcopula::copula::SampleSyntheticDataT;
-using dpcopula::copula::SamplerKernel;
+using dpcopula::copula::SamplingPlan;
 
 struct Fixture {
   dpcopula::data::Schema schema;
@@ -59,27 +57,13 @@ constexpr std::size_t kRows = 1'000'000;
 constexpr std::size_t kDims = 10;
 constexpr std::int64_t kDomain = 64;
 
-void BM_SamplerHot_Legacy(benchmark::State& state) {
-  const auto fx = MakeFixture(kDims, kDomain);
-  for (auto _ : state) {
-    Rng rng(42);
-    rng.set_gaussian_method(GaussianMethod::kPolar);
-    auto out = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, kRows, &rng,
-                                   1, SamplerKernel::kLegacy);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kRows));
-}
-BENCHMARK(BM_SamplerHot_Legacy)->Unit(benchmark::kMillisecond);
-
 void BM_SamplerHot_Tiled(benchmark::State& state) {
   const auto fx = MakeFixture(kDims, kDomain);
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Rng rng(42);
     auto out = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, kRows, &rng,
-                                   threads, SamplerKernel::kTiled);
+                                   threads);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -95,8 +79,8 @@ void BM_SamplerHotT_Tiled(benchmark::State& state) {
   const auto fx = MakeFixture(kDims, kDomain);
   for (auto _ : state) {
     Rng rng(42);
-    auto out = SampleSyntheticDataT(fx.schema, fx.cdfs, fx.corr, 6.0,
-                                    kRows / 4, &rng, 1, SamplerKernel::kTiled);
+    auto out = SamplingPlan::StudentT(fx.schema, fx.cdfs, fx.corr, 6.0)
+                   ->Sample(kRows / 4, &rng, 1);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

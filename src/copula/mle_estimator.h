@@ -12,7 +12,7 @@
 namespace dpcopula::copula {
 
 /// Which partition-fit kernel EstimateMleCorrelation runs (mirrors
-/// SamplerKernel / TauKernel from PRs 4 and 5).
+/// stats::TauKernel).
 ///
 /// kBatched is the production path: each partition's rows are a contiguous
 /// block, so pseudo-observations come from a per-partition counting pass —

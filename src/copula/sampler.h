@@ -1,10 +1,12 @@
 #ifndef DPCOPULA_COPULA_SAMPLER_H_
 #define DPCOPULA_COPULA_SAMPLER_H_
 
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
+#include "copula/empirical_copula.h"
 #include "data/table.h"
 #include "linalg/matrix.h"
 #include "stats/empirical_cdf.h"
@@ -24,44 +26,71 @@ inline constexpr std::size_t kSamplerShardRows = 4096;
 /// the final shard ever sees a partial tile.
 inline constexpr std::size_t kSamplerTileRows = 256;
 
-/// Which row-sampling kernel to run. kTiled is the production path: a
-/// ziggurat-filled kSamplerTileRows x m Gaussian block, the Cholesky factor
-/// applied as a blocked lower-triangular mat-mul over contiguous columns,
-/// and guide-table CDF inversion (InverseCdfTable). kLegacy is the pre-tile
-/// scalar loop (per-row triangular multiply + per-cell std::lower_bound),
-/// kept for golden fixtures and old-vs-new equivalence tests.
-enum class SamplerKernel { kTiled, kLegacy };
-
-/// Algorithm 3 — sampling DP synthetic data:
-///  1a. draw z ~ N(0, correlation) (Cholesky of the DP correlation matrix);
-///  1b. map to the unit cube via the standard normal CDF, t = Phi(z);
+/// Algorithm 3 — sampling DP synthetic data — compiled once per fitted
+/// model:
+///  1a. draw z ~ N(0, correlation) (Cholesky of the DP correlation matrix),
+///      or x ~ t_dof(0, correlation) for the Student-t family;
+///  1b. map to the unit cube through the univariate normal (or t) CDF;
 ///  2.  map through the inverse DP empirical marginal CDFs,
 ///      x_j = F~_j^{-1}(t_j), landing in the original attribute domains.
-/// `schema` supplies names/domains of the output columns; `marginal_cdfs`
-/// must contain one CDF per attribute (built from the DP marginal
-/// histograms). This is pure post-processing of DP outputs, so it consumes
-/// no privacy budget.
+/// The empirical (checkerboard) family draws the unit-cube point straight
+/// from its DP grid instead of steps 1a-1b.
 ///
-/// The row loop runs on the shared thread pool: rows are cut into
-/// kSamplerShardRows-sized shards, each with its own RNG split off `*rng`
-/// in shard order (1 thread and N threads give byte-identical tables).
-/// `num_threads`: 0 = hardware concurrency, <= 1 = sequential.
+/// A plan holds the schema, one InverseCdfTable per column, the Cholesky
+/// factor and the family. It is immutable, so one plan can serve any number
+/// of concurrent Sample() calls. Sampling is pure post-processing of DP
+/// outputs and consumes no privacy budget. Every factory takes one CDF per
+/// schema attribute, with matching domains.
+class SamplingPlan {
+ public:
+  static Result<SamplingPlan> Gaussian(
+      const data::Schema& schema,
+      const std::vector<stats::EmpiricalCdf>& marginal_cdfs,
+      const linalg::Matrix& correlation);
+
+  /// Student-t copula (the paper's future-work extension): captures the
+  /// symmetric tail dependence the Gaussian copula cannot express. `dof`
+  /// must be finite and > 0.
+  static Result<SamplingPlan> StudentT(
+      const data::Schema& schema,
+      const std::vector<stats::EmpiricalCdf>& marginal_cdfs,
+      const linalg::Matrix& correlation, double dof);
+
+  /// Empirical checkerboard copula with one grid axis per attribute.
+  static Result<SamplingPlan> Empirical(
+      const data::Schema& schema,
+      const std::vector<stats::EmpiricalCdf>& marginal_cdfs,
+      EmpiricalCopula copula);
+
+  /// Draws `num_rows` rows. Gaussian and t run one tiled kernel on the
+  /// shared thread pool: rows are cut into kSamplerShardRows-sized shards,
+  /// each with its own RNG split off `*rng` in shard order, so 1 thread and
+  /// N threads give byte-identical tables. The empirical family draws
+  /// sequentially from `*rng` itself. `num_threads`: 0 = hardware
+  /// concurrency, <= 1 = sequential.
+  Result<data::Table> Sample(std::size_t num_rows, Rng* rng,
+                             int num_threads = 1) const;
+
+ private:
+  SamplingPlan(const data::Schema& schema,
+               const std::vector<stats::EmpiricalCdf>& marginal_cdfs);
+
+  data::Schema schema_;
+  std::vector<stats::InverseCdfTable> tables_;
+  linalg::Matrix chol_;  // Gaussian and t.
+  // The family is Gaussian unless dof_ > 0 (Student-t) or grid_ is set
+  // (empirical).
+  double dof_ = 0.0;
+  std::optional<EmpiricalCopula> grid_;
+};
+
+/// Gaussian-copula Algorithm 3 in one call: SamplingPlan::Gaussian, then
+/// Sample. Callers that sample a model more than once should keep the plan.
 Result<data::Table> SampleSyntheticData(
     const data::Schema& schema,
     const std::vector<stats::EmpiricalCdf>& marginal_cdfs,
     const linalg::Matrix& correlation, std::size_t num_rows, Rng* rng,
-    int num_threads = 1, SamplerKernel kernel = SamplerKernel::kTiled);
-
-/// t-copula variant of Algorithm 3 (the paper's future-work extension):
-/// draws x ~ t_dof(0, correlation), maps through the univariate t CDF, then
-/// through the inverse DP marginal CDFs. Captures symmetric tail dependence
-/// the Gaussian copula cannot express. Parallelized identically to
-/// SampleSyntheticData (thread-count invariant output).
-Result<data::Table> SampleSyntheticDataT(
-    const data::Schema& schema,
-    const std::vector<stats::EmpiricalCdf>& marginal_cdfs,
-    const linalg::Matrix& correlation, double dof, std::size_t num_rows,
-    Rng* rng, int num_threads = 1, SamplerKernel kernel = SamplerKernel::kTiled);
+    int num_threads = 1);
 
 }  // namespace dpcopula::copula
 

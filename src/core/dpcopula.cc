@@ -54,6 +54,25 @@ Result<BudgetSplit> ComputeBudgetSplit(const DpCopulaOptions& options) {
   return split;
 }
 
+Result<copula::SamplingPlan> BuildSamplingPlan(
+    const data::Schema& schema,
+    const std::vector<stats::EmpiricalCdf>& marginal_cdfs, CopulaFamily family,
+    const linalg::Matrix& correlation, double t_dof,
+    std::optional<copula::EmpiricalCopula> grid) {
+  using copula::SamplingPlan;
+  if (family == CopulaFamily::kGaussian) {
+    return SamplingPlan::Gaussian(schema, marginal_cdfs, correlation);
+  }
+  if (family == CopulaFamily::kStudentT) {
+    return SamplingPlan::StudentT(schema, marginal_cdfs, correlation, t_dof);
+  }
+  if (family == CopulaFamily::kEmpirical && grid) {
+    return SamplingPlan::Empirical(schema, marginal_cdfs, std::move(*grid));
+  }
+  return Status::InvalidArgument(
+      "only the gaussian and student-t families can be sampled from a model");
+}
+
 Result<SynthesisResult> Synthesize(const data::Table& table,
                                    const DpCopulaOptions& options, Rng* rng) {
   static obs::Counter* const runs_counter =
@@ -71,12 +90,20 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
   if (!(options.oversample_factor > 0.0)) {
     return Status::InvalidArgument("oversample_factor must be > 0");
   }
+  if (!std::isfinite(options.t_dof)) {
+    return Status::InvalidArgument("t_dof must be finite");
+  }
   const std::size_t base_rows = options.num_synthetic_rows > 0
                                     ? options.num_synthetic_rows
                                     : table.num_rows();
-  const auto out_rows = static_cast<std::size_t>(
-      std::llround(static_cast<double>(base_rows) *
-                   options.oversample_factor));
+  const double scaled_rows =
+      static_cast<double>(base_rows) * options.oversample_factor;
+  // llround is only defined for results a long long can hold; this also
+  // refuses an infinite oversample_factor.
+  if (!(scaled_rows < 0x1p63)) {
+    return Status::InvalidArgument("synthetic row count must be below 2^63");
+  }
+  const auto out_rows = static_cast<std::size_t>(std::llround(scaled_rows));
 
   obs::Log(obs::LogLevel::kInfo, "synthesize.start")
       .Field("rows", table.num_rows())
@@ -160,48 +187,27 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
     epsilon2 -= eps_family;
   }
 
-  // kEmpirical replaces the parametric correlation estimation entirely:
-  // epsilon2 buys a DP checkerboard copula over the pseudo-observations,
-  // from which uniforms are sampled directly (cell-histogram sensitivity
-  // 1).
+  // Step 2: the DP dependence model with epsilon2. kEmpirical replaces the
+  // parametric correlation estimation entirely: epsilon2 buys a DP
+  // checkerboard copula over the pseudo-observations, from which step 3
+  // samples uniforms directly (cell-histogram sensitivity 1). Otherwise
+  // each estimator branch charges its budget *before* running the
+  // mechanism, so a failure after the charge can never be refunded; a
+  // failed estimate either fails the run closed (nothing released) or —
+  // with allow_degraded_correlation — degrades to an identity correlation
+  // over the already-published margins.
+  std::optional<copula::EmpiricalCopula> grid;
   if (options.family == CopulaFamily::kEmpirical && estimate_correlation) {
     DPC_RETURN_NOT_OK(result.budget.Charge(epsilon2, "copula:empirical",
                                            /*sensitivity=*/1.0));
     obs::Span empirical_span("correlation");
     DPC_ASSIGN_OR_RETURN(auto pseudo, copula::PseudoObservations(table));
     DPC_ASSIGN_OR_RETURN(
-        copula::EmpiricalCopula ecop,
-        copula::EmpiricalCopula::FitDp(pseudo, options.empirical_grid,
-                                       epsilon2, rng));
+        grid, copula::EmpiricalCopula::FitDp(pseudo, options.empirical_grid,
+                                             epsilon2, rng));
     result.correlation = linalg::Matrix::Identity(m);
     result.family_used = CopulaFamily::kEmpirical;
-    data::Table out = data::Table::Zeros(table.schema(), out_rows);
-    {
-      obs::Span sampling_span("sampling");
-      // Guide-table inversion, built once per marginal — same tables the
-      // Gaussian/t tile kernels use.
-      std::vector<stats::InverseCdfTable> inverse_tables;
-      inverse_tables.reserve(m);
-      for (const auto& cdf : cdfs) inverse_tables.emplace_back(cdf);
-      for (std::size_t r = 0; r < out_rows; ++r) {
-        const auto u = ecop.SampleUniforms(rng);
-        for (std::size_t j = 0; j < m; ++j) {
-          out.set(r, j,
-                  static_cast<double>(inverse_tables[j].Lookup(u[j])));
-        }
-      }
-    }
-    result.synthetic = std::move(out);
-    DPC_RETURN_NOT_OK(VerifyBudgetConsumed(result.budget, options.epsilon));
-    return result;
-  }
-
-  // Step 2: DP correlation matrix with epsilon2. Each estimator branch
-  // charges its budget *before* running the mechanism, so a failure after
-  // the charge can never be refunded; a failed estimate either fails the
-  // run closed (nothing released) or — with allow_degraded_correlation —
-  // degrades to an identity correlation over the already-published margins.
-  if (estimate_correlation) {
+  } else if (estimate_correlation) {
     static obs::Counter* const degraded_counter =
         obs::MetricsRegistry::Global().GetCounter(
             "core.degraded_correlations");
@@ -274,8 +280,8 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
   // Resolve the copula family (extension beyond the paper's Gaussian
   // default; falls back to Gaussian when the data cannot support a private
   // vote). The vote mechanisms score partition counts, sensitivity 1.
-  result.family_used = CopulaFamily::kGaussian;
-  if (estimate_correlation && options.family != CopulaFamily::kGaussian) {
+  if (estimate_correlation && (options.family == CopulaFamily::kStudentT ||
+                               options.family == CopulaFamily::kAutoAic)) {
     obs::Span family_span("family_selection");
     if (options.family == CopulaFamily::kStudentT && options.t_dof > 0.0) {
       result.family_used = CopulaFamily::kStudentT;
@@ -318,19 +324,13 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
   // Step 3: sample synthetic data (Algorithm 3) — pure post-processing.
   {
     obs::Span sampling_span("sampling");
-    if (result.family_used == CopulaFamily::kStudentT) {
-      DPC_ASSIGN_OR_RETURN(
-          result.synthetic,
-          copula::SampleSyntheticDataT(table.schema(), cdfs,
-                                       result.correlation, result.t_dof_used,
-                                       out_rows, rng, options.num_threads));
-    } else {
-      DPC_ASSIGN_OR_RETURN(
-          result.synthetic,
-          copula::SampleSyntheticData(table.schema(), cdfs,
-                                      result.correlation, out_rows, rng,
-                                      options.num_threads));
-    }
+    DPC_ASSIGN_OR_RETURN(
+        const copula::SamplingPlan plan,
+        BuildSamplingPlan(table.schema(), cdfs, result.family_used,
+                          result.correlation, result.t_dof_used,
+                          std::move(grid)));
+    DPC_ASSIGN_OR_RETURN(result.synthetic,
+                         plan.Sample(out_rows, rng, options.num_threads));
   }
   DPC_RETURN_NOT_OK(VerifyBudgetConsumed(result.budget, options.epsilon));
   obs::Log(obs::LogLevel::kInfo, "synthesize.done")

@@ -2,12 +2,15 @@
 #define DPCOPULA_CORE_DPCOPULA_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
+#include "copula/empirical_copula.h"
 #include "copula/kendall_estimator.h"
 #include "copula/mle_estimator.h"
+#include "copula/sampler.h"
 #include "data/table.h"
 #include "dp/budget.h"
 #include "linalg/matrix.h"
@@ -133,6 +136,18 @@ struct SynthesisResult {
 /// through the DP publisher, so the guarantee is unchanged).
 Result<SynthesisResult> Synthesize(const data::Table& table,
                                    const DpCopulaOptions& options, Rng* rng);
+
+/// Compiles a fitted family into its sampling plan — the one place that maps
+/// a CopulaFamily onto the plan factories (Synthesize, SampleFromModel and
+/// the serving registry all build plans here). kEmpirical needs its fitted
+/// DP grid in `grid`; a model file holds none, and kAutoAic always resolves
+/// to a concrete family before sampling, so both are InvalidArgument
+/// otherwise.
+Result<copula::SamplingPlan> BuildSamplingPlan(
+    const data::Schema& schema,
+    const std::vector<stats::EmpiricalCdf>& marginal_cdfs, CopulaFamily family,
+    const linalg::Matrix& correlation, double t_dof,
+    std::optional<copula::EmpiricalCopula> grid = std::nullopt);
 
 /// The (epsilon1, epsilon2) split implied by `options`.
 struct BudgetSplit {

@@ -6,9 +6,7 @@
 
 #include "common/atomic_file.h"
 #include "common/failpoint.h"
-#include "copula/sampler.h"
 #include "linalg/psd_repair.h"
-#include "stats/empirical_cdf.h"
 
 namespace dpcopula::core {
 
@@ -24,31 +22,34 @@ DpCopulaModel ModelFromSynthesis(const data::Schema& schema,
   return model;
 }
 
-Result<data::Table> SampleFromModel(const DpCopulaModel& model,
-                                    std::size_t num_rows, Rng* rng) {
-  if (model.schema.num_attributes() == 0) {
-    return Status::InvalidArgument("model has no attributes");
-  }
-  if (model.marginal_counts.size() != model.schema.num_attributes()) {
-    return Status::InvalidArgument("model margins do not match schema");
-  }
+Result<std::vector<stats::EmpiricalCdf>> ModelMarginalCdfs(
+    const DpCopulaModel& model) {
   std::vector<stats::EmpiricalCdf> cdfs;
+  cdfs.reserve(model.marginal_counts.size());
   for (const auto& counts : model.marginal_counts) {
     DPC_ASSIGN_OR_RETURN(stats::EmpiricalCdf cdf,
                          stats::EmpiricalCdf::FromCounts(counts));
     cdfs.push_back(std::move(cdf));
   }
-  const std::size_t rows = num_rows > 0 ? num_rows : model.fitted_rows;
-  if (model.family == CopulaFamily::kStudentT) {
-    return copula::SampleSyntheticDataT(model.schema, cdfs,
-                                        model.correlation, model.t_dof, rows,
-                                        rng);
-  }
-  return copula::SampleSyntheticData(model.schema, cdfs, model.correlation,
-                                     rows, rng);
+  return cdfs;
+}
+
+Result<data::Table> SampleFromModel(const DpCopulaModel& model,
+                                    std::size_t num_rows, Rng* rng) {
+  DPC_ASSIGN_OR_RETURN(const std::vector<stats::EmpiricalCdf> cdfs,
+                       ModelMarginalCdfs(model));
+  DPC_ASSIGN_OR_RETURN(const copula::SamplingPlan plan,
+                       BuildSamplingPlan(model.schema, cdfs, model.family,
+                                         model.correlation, model.t_dof));
+  return plan.Sample(num_rows > 0 ? num_rows : model.fitted_rows, rng);
 }
 
 Status SerializeModel(const DpCopulaModel& model, std::ostream& out) {
+  if (model.family != CopulaFamily::kGaussian &&
+      model.family != CopulaFamily::kStudentT) {
+    return Status::InvalidArgument(
+        "the model format holds only the gaussian and student-t families");
+  }
   out.precision(17);
   out << "DPCOPULA-MODEL v1\n";
   out << "attributes " << model.schema.num_attributes() << "\n";

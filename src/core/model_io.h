@@ -11,6 +11,7 @@
 #include "data/schema.h"
 #include "data/table.h"
 #include "linalg/matrix.h"
+#include "stats/empirical_cdf.h"
 
 namespace dpcopula::core {
 
@@ -36,15 +37,23 @@ struct DpCopulaModel {
 DpCopulaModel ModelFromSynthesis(const data::Schema& schema,
                                  const SynthesisResult& result);
 
+/// One CDF per model margin — with BuildSamplingPlan, which checks them
+/// against the schema, what sampling needs from a model.
+Result<std::vector<stats::EmpiricalCdf>> ModelMarginalCdfs(
+    const DpCopulaModel& model);
+
 /// Draws `num_rows` synthetic rows from a model (0 = model's fitted_rows).
-/// Pure post-processing.
+/// Pure post-processing. Builds a fresh plan per call; callers that sample
+/// one model repeatedly (the serving registry) keep the plan instead.
 Result<data::Table> SampleFromModel(const DpCopulaModel& model,
                                     std::size_t num_rows, Rng* rng);
 
 /// Writes the self-describing text format ("DPCOPULA-MODEL v1" header, one
 /// section per field) to an already-open stream. Used by SaveModel and by
 /// StreamingSynthesizer::SaveState, which appends its counters after the
-/// model body inside the same atomic write.
+/// model body inside the same atomic write. InvalidArgument, before
+/// writing anything, for a family the format cannot hold (kEmpirical,
+/// kAutoAic).
 Status SerializeModel(const DpCopulaModel& model, std::ostream& out);
 
 /// Serializes the model to a file. Crash-safe: the content is staged in

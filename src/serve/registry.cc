@@ -49,18 +49,15 @@ Result<std::shared_ptr<const ServedModel>> ModelRegistry::LoadFromFile(
   FileIdentity before;
   DPC_RETURN_NOT_OK(StatFile(path, &before));
   DPC_ASSIGN_OR_RETURN(core::DpCopulaModel model, core::LoadModel(path));
-  auto served = std::make_shared<ServedModel>();
-  served->cdfs.reserve(model.marginal_counts.size());
-  for (const auto& counts : model.marginal_counts) {
-    DPC_ASSIGN_OR_RETURN(stats::EmpiricalCdf cdf,
-                         stats::EmpiricalCdf::FromCounts(counts));
-    served->cdfs.push_back(std::move(cdf));
-  }
-  served->model = std::move(model);
-  served->mtime_ns = before.mtime_ns;
-  served->size = before.size;
-  served->inode = before.inode;
-  return std::shared_ptr<const ServedModel>(std::move(served));
+  DPC_ASSIGN_OR_RETURN(std::vector<stats::EmpiricalCdf> cdfs,
+                       core::ModelMarginalCdfs(model));
+  DPC_ASSIGN_OR_RETURN(
+      copula::SamplingPlan plan,
+      core::BuildSamplingPlan(model.schema, cdfs, model.family,
+                              model.correlation, model.t_dof));
+  return std::make_shared<const ServedModel>(
+      ServedModel{std::move(model), std::move(cdfs), std::move(plan),
+                  before.mtime_ns, before.size, before.inode});
 }
 
 Status ModelRegistry::Add(const std::string& name, const std::string& path) {

@@ -10,6 +10,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "copula/sampler.h"
 #include "core/model_io.h"
 #include "stats/empirical_cdf.h"
 
@@ -18,12 +19,12 @@ namespace dpcopula::serve {
 /// One loaded, sampling-ready model version. Immutable after publication:
 /// request threads hold a shared_ptr while sampling, so a hot reload can
 /// swap in a new version without ever invalidating an in-flight request.
-/// The per-column inverse-CDF tables are built once here instead of per
-/// request (SampleFromModel rebuilds them on every call — too slow for a
-/// request hot path).
+/// The sampling plan (Cholesky factor, one inverse-CDF table per column and
+/// the family) is built once per load or reload, never per request.
 struct ServedModel {
   core::DpCopulaModel model;
   std::vector<stats::EmpiricalCdf> cdfs;
+  copula::SamplingPlan plan;
   // File identity at load time, used to detect on-disk changes.
   std::int64_t mtime_ns = 0;
   std::int64_t size = 0;

@@ -283,15 +283,8 @@ std::string Server::HandleSample(const Request& request) {
   // and the sharded sampler is thread-count invariant, so the same
   // (model, rows, seed) always renders bit-identical bytes.
   Rng rng(request.seed);
-  const core::DpCopulaModel& model = served->model;
   Result<data::Table> sampled =
-      model.family == core::CopulaFamily::kStudentT
-          ? copula::SampleSyntheticDataT(
-                model.schema, served->cdfs, model.correlation, model.t_dof,
-                rows, &rng, options_.sample_threads)
-          : copula::SampleSyntheticData(model.schema, served->cdfs,
-                                        model.correlation, rows, &rng,
-                                        options_.sample_threads);
+      served->plan.Sample(rows, &rng, options_.sample_threads);
   if (!sampled.ok()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     return RenderError(sampled.status());

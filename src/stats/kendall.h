@@ -14,12 +14,11 @@ namespace dpcopula::stats {
 /// neither. This is the estimator whose sensitivity the paper bounds by
 /// 4/(n+1) (Lemma 4.1).
 
-/// Which pairwise tau kernel the Kendall estimator runs (mirrors
-/// SamplerKernel). kRankCache is the production path: per-column rank
-/// structures built once and shared by every pair (contingency table for
-/// small domain products, rank-code merge count otherwise). kLegacy is the
-/// original one-sort-per-pair KendallTau, kept as the reference
-/// implementation for old-vs-new equivalence tests.
+/// Which pairwise tau kernel the Kendall estimator runs. kRankCache is the
+/// production path: per-column rank structures built once and shared by
+/// every pair (contingency table for small domain products, rank-code merge
+/// count otherwise). kLegacy is the original one-sort-per-pair KendallTau,
+/// kept as the reference implementation for old-vs-new equivalence tests.
 enum class TauKernel { kRankCache, kLegacy };
 
 /// Per-column rank structures, computed once in O(n log n) and reused by

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "core/dpcopula.h"
@@ -156,6 +157,58 @@ TEST(SynthesizeTest, InvalidOptionsRejected) {
   data::Table empty{data::Schema()};
   DpCopulaOptions ok_opts;
   EXPECT_FALSE(Synthesize(empty, ok_opts, &rng).ok());
+}
+
+// Returning before the first charge means no mechanism drew noise: the
+// caller's RNG must come back untouched.
+void ExpectRejectedBeforeAnyCharge(const data::Table& t,
+                                   const DpCopulaOptions& opts) {
+  Rng rng(259);
+  const auto res = Synthesize(t, opts, &rng);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  Rng untouched(259);
+  EXPECT_EQ(rng.NextUint64(), untouched.NextUint64());
+}
+
+TEST(SynthesizeTest, NonFiniteDofRejectedBeforeAnyCharge) {
+  // An infinite dof makes every chi-squared scale sqrt(inf / inf) = NaN and
+  // every synthetic row identical.
+  Rng data_rng(257);
+  const data::Table t = MakeSynthetic(500, 2, 0.5, &data_rng);
+  DpCopulaOptions opts;
+  opts.family = CopulaFamily::kStudentT;
+  for (const double dof : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    opts.t_dof = dof;
+    SCOPED_TRACE(dof);
+    ExpectRejectedBeforeAnyCharge(t, opts);
+  }
+}
+
+TEST(SynthesizeTest, UnrepresentableRowCountRejectedBeforeAnyCharge) {
+  Rng data_rng(261);
+  const data::Table t = MakeSynthetic(500, 2, 0.5, &data_rng);
+  for (const double factor : {std::numeric_limits<double>::infinity(), 1e30}) {
+    DpCopulaOptions opts;
+    opts.oversample_factor = factor;
+    SCOPED_TRACE(factor);
+    ExpectRejectedBeforeAnyCharge(t, opts);
+  }
+  // rows x factor at or past 2^63, the first value llround cannot return.
+  for (const std::size_t rows :
+       {std::size_t{1} << 63, std::numeric_limits<std::size_t>::max(),
+        static_cast<std::size_t>(std::numeric_limits<long long>::max())}) {
+    DpCopulaOptions opts;
+    opts.num_synthetic_rows = rows;
+    SCOPED_TRACE(rows);
+    ExpectRejectedBeforeAnyCharge(t, opts);
+  }
+  DpCopulaOptions opts;
+  opts.num_synthetic_rows = std::size_t{1} << 62;
+  opts.oversample_factor = 2.0;
+  ExpectRejectedBeforeAnyCharge(t, opts);
 }
 
 TEST(SynthesizeTest, OutOfDomainInputRejected) {

@@ -136,15 +136,15 @@ TEST(DeterminismTest, SamplerIsThreadCountInvariant) {
     ASSERT_TRUE(out.ok());
     EXPECT_TRUE(TablesEqual(*base, *out)) << "threads=" << threads;
   }
-  // The t sampler shares the sharding scheme.
+  // The t plan shares the sharding scheme.
+  auto t_plan = copula::SamplingPlan::StudentT(schema, cdfs, corr, 5.0);
+  ASSERT_TRUE(t_plan.ok());
   Rng t1(78);
-  auto t_base =
-      copula::SampleSyntheticDataT(schema, cdfs, corr, 5.0, rows, &t1, 1);
+  auto t_base = t_plan->Sample(rows, &t1, 1);
   ASSERT_TRUE(t_base.ok());
   for (int threads : kThreadCounts) {
     Rng tn(78);
-    auto out = copula::SampleSyntheticDataT(schema, cdfs, corr, 5.0, rows,
-                                            &tn, threads);
+    auto out = t_plan->Sample(rows, &tn, threads);
     ASSERT_TRUE(out.ok());
     EXPECT_TRUE(TablesEqual(*t_base, *out)) << "threads=" << threads;
   }

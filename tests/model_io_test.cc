@@ -231,5 +231,29 @@ TEST(ModelIoTest, SampleValidatesModel) {
   EXPECT_FALSE(SampleFromModel(model, 10, &rng).ok());
 }
 
+TEST(ModelIoTest, RefusesFamiliesTheFormatCannotHold) {
+  // An empirical fit's DP grid lives only inside Synthesize: saved as
+  // "gaussian" it would reload as independent margins over an identity
+  // correlation. kAutoAic is a request, never a fitted family.
+  Rng rng(613);
+  const DpCopulaModel empirical = FittedModel(&rng, CopulaFamily::kEmpirical);
+  ASSERT_EQ(empirical.family, CopulaFamily::kEmpirical);
+  DpCopulaModel auto_aic = empirical;
+  auto_aic.family = CopulaFamily::kAutoAic;
+  const std::string path = "/tmp/dpcopula_model_family_test.txt";
+  const DpCopulaModel* const models[] = {&empirical, &auto_aic};
+  for (const DpCopulaModel* model : models) {
+    std::remove(path.c_str());
+    std::ostringstream out;
+    EXPECT_EQ(SerializeModel(*model, out).code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(out.str().empty());
+    EXPECT_EQ(SaveModel(*model, path).code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(std::ifstream(path).good());
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+    EXPECT_EQ(SampleFromModel(*model, 10, &rng).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 }  // namespace
 }  // namespace dpcopula::core

@@ -1,16 +1,19 @@
-// Coverage for the blocked (tiled) sampling kernel of Algorithm 3: the
-// tile pipeline must be bit-identical across thread counts, statistically
-// indistinguishable from the legacy scalar kernel it replaced, and the
-// guide-table inversion must agree with std::lower_bound everywhere.
+// Coverage for the compiled sampling plan of Algorithm 3: the tiled kernel
+// must be bit-identical across thread counts and across calls on one shared
+// plan, statistically indistinguishable from the sequential scalar oracle in
+// tests/reference/, and the guide-table inversion must never emit a
+// zero-mass value.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "copula/sampler.h"
 #include "data/generator.h"
 #include "data/schema.h"
+#include "reference/sampler_reference.h"
 #include "stats/empirical_cdf.h"
 #include "stats/kendall.h"
 
@@ -93,12 +96,12 @@ TEST(SamplerKernelTest, TiledOutputBitIdenticalAcross1248Threads) {
   const std::size_t rows = kSamplerShardRows * 2 + kSamplerTileRows / 2 + 17;
   Rng r1(4242);
   const auto base = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows,
-                                        &r1, 1, SamplerKernel::kTiled);
+                                        &r1, 1);
   ASSERT_TRUE(base.ok());
   for (const int threads : {2, 4, 8}) {
     Rng rn(4242);
     const auto out = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows,
-                                         &rn, threads, SamplerKernel::kTiled);
+                                         &rn, threads);
     ASSERT_TRUE(out.ok());
     EXPECT_TRUE(TablesEqual(*base, *out)) << "threads=" << threads;
   }
@@ -107,57 +110,73 @@ TEST(SamplerKernelTest, TiledOutputBitIdenticalAcross1248Threads) {
 TEST(SamplerKernelTest, TiledTSamplerBitIdenticalAcross1248Threads) {
   const auto fx = MakeFixture(4, 24, 0.3);
   const std::size_t rows = kSamplerShardRows + kSamplerTileRows + 3;
+  const auto plan = SamplingPlan::StudentT(fx.schema, fx.cdfs, fx.corr, 6.0);
+  ASSERT_TRUE(plan.ok());
   Rng r1(777);
-  const auto base = SampleSyntheticDataT(fx.schema, fx.cdfs, fx.corr, 6.0,
-                                         rows, &r1, 1, SamplerKernel::kTiled);
+  const auto base = plan->Sample(rows, &r1, 1);
   ASSERT_TRUE(base.ok());
   for (const int threads : {2, 4, 8}) {
     Rng rn(777);
-    const auto out =
-        SampleSyntheticDataT(fx.schema, fx.cdfs, fx.corr, 6.0, rows, &rn,
-                             threads, SamplerKernel::kTiled);
+    const auto out = plan->Sample(rows, &rn, threads);
     ASSERT_TRUE(out.ok());
     EXPECT_TRUE(TablesEqual(*base, *out)) << "threads=" << threads;
   }
 }
 
-TEST(SamplerKernelTest, LegacyKernelStillThreadCountInvariant) {
-  const auto fx = MakeFixture(3, 16, 0.5);
-  const std::size_t rows = kSamplerShardRows * 2 + 5;
-  Rng r1(555);
-  r1.set_gaussian_method(GaussianMethod::kPolar);
-  const auto base = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows,
-                                        &r1, 1, SamplerKernel::kLegacy);
-  ASSERT_TRUE(base.ok());
-  for (const int threads : {2, 4, 8}) {
-    Rng rn(555);
-    rn.set_gaussian_method(GaussianMethod::kPolar);
-    const auto out = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows,
-                                         &rn, threads, SamplerKernel::kLegacy);
-    ASSERT_TRUE(out.ok());
-    EXPECT_TRUE(TablesEqual(*base, *out)) << "threads=" << threads;
+// Serve workers and sampler shards share one read-only plan: concurrent
+// Sample() calls on it must each reproduce the one-shot path byte for byte
+// (and run clean under ThreadSanitizer).
+TEST(SamplerKernelTest, SharedPlanMatchesOneShotUnderConcurrentCalls) {
+  const auto fx = MakeFixture(4, 24, 0.3);
+  const std::size_t rows = kSamplerShardRows + kSamplerTileRows + 3;
+  const auto gaussian = SamplingPlan::Gaussian(fx.schema, fx.cdfs, fx.corr);
+  const auto student_t =
+      SamplingPlan::StudentT(fx.schema, fx.cdfs, fx.corr, 6.0);
+  ASSERT_TRUE(gaussian.ok());
+  ASSERT_TRUE(student_t.ok());
+  constexpr int kCallers = 4;
+  std::vector<Result<data::Table>> g_out(kCallers, Status::Internal("unset"));
+  std::vector<Result<data::Table>> t_out(kCallers, Status::Internal("unset"));
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      Rng g_rng(900 + c);
+      g_out[c] = gaussian->Sample(rows, &g_rng, 2);
+      Rng t_rng(900 + c);
+      t_out[c] = student_t->Sample(rows, &t_rng, 2);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int c = 0; c < kCallers; ++c) {
+    Rng g_rng(900 + c);
+    const auto g_ref =
+        SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows, &g_rng, 1);
+    Rng t_rng(900 + c);
+    const auto t_ref = student_t->Sample(rows, &t_rng, 1);
+    ASSERT_TRUE(g_ref.ok() && t_ref.ok() && g_out[c].ok() && t_out[c].ok());
+    EXPECT_TRUE(TablesEqual(*g_ref, *g_out[c])) << "caller " << c;
+    EXPECT_TRUE(TablesEqual(*t_ref, *t_out[c])) << "caller " << c;
   }
 }
 
-TEST(SamplerKernelTest, TiledMatchesLegacyPerMarginalChiSquared) {
+TEST(SamplerKernelTest, TiledMatchesReferencePerMarginalChiSquared) {
   const std::size_t m = 4, domain = 30;
   const auto fx = MakeFixture(m, domain, 0.5);
   const std::size_t rows = 60000;
 
-  Rng legacy_rng(9001);
-  legacy_rng.set_gaussian_method(GaussianMethod::kPolar);
-  const auto legacy =
-      SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows, &legacy_rng, 1,
-                          SamplerKernel::kLegacy);
-  ASSERT_TRUE(legacy.ok());
+  Rng oracle_rng(9001);
+  oracle_rng.set_gaussian_method(GaussianMethod::kPolar);
+  const auto oracle = reference::SampleCopulaRows(
+      fx.schema, fx.cdfs, fx.corr, /*dof=*/0.0, rows, &oracle_rng);
+  ASSERT_TRUE(oracle.ok());
 
   Rng tiled_rng(9002);
   const auto tiled = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, rows,
-                                         &tiled_rng, 1, SamplerKernel::kTiled);
+                                         &tiled_rng, 1);
   ASSERT_TRUE(tiled.ok());
 
   for (std::size_t j = 0; j < m; ++j) {
-    const auto ca = ColumnCounts(*legacy, j, domain);
+    const auto ca = ColumnCounts(*oracle, j, domain);
     const auto cb = ColumnCounts(*tiled, j, domain);
     int dof = 0;
     const double stat = TwoSampleChiSquared(ca, cb, &dof);
@@ -176,33 +195,33 @@ TEST(SamplerKernelTest, TiledReproducesTargetKendallTau) {
   const auto fx = MakeFixture(2, 50, rho);
   Rng rng(1337);
   const auto out = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, 40000,
-                                       &rng, 1, SamplerKernel::kTiled);
+                                       &rng, 1);
   ASSERT_TRUE(out.ok());
   const auto tau = stats::KendallTau(out->column(0), out->column(1));
   ASSERT_TRUE(tau.ok());
   EXPECT_NEAR(*tau, 2.0 / M_PI * std::asin(rho), 0.05);
 }
 
-TEST(SamplerKernelTest, TiledTSamplerMatchesLegacyStatistically) {
+TEST(SamplerKernelTest, TiledTSamplerMatchesReferenceStatistically) {
   const std::size_t m = 3, domain = 20;
   const auto fx = MakeFixture(m, domain, 0.4);
   const std::size_t rows = 30000;
   const double dof_t = 5.0;
 
-  Rng legacy_rng(31);
-  legacy_rng.set_gaussian_method(GaussianMethod::kPolar);
-  const auto legacy =
-      SampleSyntheticDataT(fx.schema, fx.cdfs, fx.corr, dof_t, rows,
-                           &legacy_rng, 1, SamplerKernel::kLegacy);
-  ASSERT_TRUE(legacy.ok());
+  Rng oracle_rng(31);
+  oracle_rng.set_gaussian_method(GaussianMethod::kPolar);
+  const auto oracle = reference::SampleCopulaRows(fx.schema, fx.cdfs, fx.corr,
+                                                  dof_t, rows, &oracle_rng);
+  ASSERT_TRUE(oracle.ok());
+  const auto plan =
+      SamplingPlan::StudentT(fx.schema, fx.cdfs, fx.corr, dof_t);
+  ASSERT_TRUE(plan.ok());
   Rng tiled_rng(32);
-  const auto tiled =
-      SampleSyntheticDataT(fx.schema, fx.cdfs, fx.corr, dof_t, rows,
-                           &tiled_rng, 1, SamplerKernel::kTiled);
+  const auto tiled = plan->Sample(rows, &tiled_rng, 1);
   ASSERT_TRUE(tiled.ok());
 
   for (std::size_t j = 0; j < m; ++j) {
-    const auto ca = ColumnCounts(*legacy, j, domain);
+    const auto ca = ColumnCounts(*oracle, j, domain);
     const auto cb = ColumnCounts(*tiled, j, domain);
     int dof = 0;
     const double stat = TwoSampleChiSquared(ca, cb, &dof);
@@ -210,7 +229,7 @@ TEST(SamplerKernelTest, TiledTSamplerMatchesLegacyStatistically) {
     const double kd = static_cast<double>(dof);
     EXPECT_LT(stat, kd + 3.09 * std::sqrt(2.0 * kd) + 6.4) << "marginal " << j;
   }
-  const auto tau_a = stats::KendallTau(legacy->column(0), legacy->column(1));
+  const auto tau_a = stats::KendallTau(oracle->column(0), oracle->column(1));
   const auto tau_b = stats::KendallTau(tiled->column(0), tiled->column(1));
   ASSERT_TRUE(tau_a.ok());
   ASSERT_TRUE(tau_b.ok());
@@ -223,7 +242,7 @@ TEST(SamplerKernelTest, ZeroTailMarginalNeverEmitsZeroMassValues) {
   const auto fx = MakeFixture(3, 12, 0.3);
   Rng rng(64);
   const auto out = SampleSyntheticData(fx.schema, fx.cdfs, fx.corr, 20000,
-                                       &rng, 1, SamplerKernel::kTiled);
+                                       &rng, 1);
   ASSERT_TRUE(out.ok());
   for (const double v : out->column(1)) {
     ASSERT_LE(v, 9.0);  // Domain 12, bins 10 and 11 carry zero mass.

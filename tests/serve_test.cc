@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,7 +28,9 @@
 namespace dpcopula::serve {
 namespace {
 
-core::DpCopulaModel FitModel(std::uint64_t seed, std::size_t rows) {
+core::DpCopulaModel FitModel(
+    std::uint64_t seed, std::size_t rows,
+    core::CopulaFamily family = core::CopulaFamily::kGaussian) {
   Rng rng(seed);
   std::vector<data::MarginSpec> specs = {
       data::MarginSpec::Gaussian("a", 50), data::MarginSpec::Zipf("b", 40, 1.0)};
@@ -35,6 +38,8 @@ core::DpCopulaModel FitModel(std::uint64_t seed, std::size_t rows) {
       specs, *data::Equicorrelation(2, 0.5), rows, &rng);
   core::DpCopulaOptions opts;
   opts.epsilon = 5.0;
+  opts.family = family;
+  opts.t_dof = 4.0;  // Only read by the Student-t family.
   auto res = core::Synthesize(*table, opts, &rng);
   return core::ModelFromSynthesis(table->schema(), *res);
 }
@@ -319,6 +324,53 @@ TEST(ServeTest, HotReloadSwapsModelMidTraffic) {
   EXPECT_EQ(failures.load(), 0);
   // An explicit RELOAD after the swap reports the file as current.
   EXPECT_EQ(probe.Roundtrip("RELOAD m"), "OK RELOAD unchanged\n");
+  std::remove(path.c_str());
+}
+
+// The reply the per-call path renders for the model file at `path`.
+std::string PerCallReply(const std::string& path, std::size_t rows,
+                         std::uint64_t seed) {
+  auto model = core::LoadModel(path);
+  if (!model.ok()) return "load failed: " + model.status().ToString();
+  Rng rng(seed);
+  auto sampled = core::SampleFromModel(*model, rows, &rng);
+  if (!sampled.ok()) return "sample failed: " + sampled.status().ToString();
+  return RenderSampleResponse(*sampled, /*binary=*/false);
+}
+
+TEST(ServeTest, CachedPlanMatchesPerCallSampling) {
+  const std::string path = TempPath("plan.model");
+  const core::DpCopulaModel gaussian = FitModel(37, 300);
+  const core::DpCopulaModel student_t =
+      FitModel(41, 260, core::CopulaFamily::kStudentT);
+  ASSERT_EQ(student_t.family, core::CopulaFamily::kStudentT);
+  const std::pair<const core::DpCopulaModel*, const core::DpCopulaModel*>
+      orders[] = {{&gaussian, &student_t}, {&student_t, &gaussian}};
+  for (const auto& [first, second] : orders) {
+    ASSERT_TRUE(core::SaveModel(*first, path).ok());
+    ServerOptions options;
+    options.sample_threads = 2;
+    auto server = StartServer(path, options);
+    Client client(server->port());
+    ASSERT_TRUE(client.connected());
+    const auto expect_per_call_bytes = [&](const char* phase) {
+      // Rows 0 asks for the model's fitted row count.
+      for (const std::size_t rows : {1, 100, 5000, 0}) {
+        for (const std::uint64_t seed : {3, 11}) {
+          const std::string reply = client.Roundtrip(
+              "SAMPLE m t 0 " + std::to_string(rows) + " " +
+              std::to_string(seed));
+          EXPECT_EQ(reply, PerCallReply(path, rows, seed))
+              << phase << " rows=" << rows << " seed=" << seed;
+        }
+      }
+    };
+    expect_per_call_bytes("before reload");
+    ASSERT_TRUE(core::SaveModel(*second, path).ok());
+    EXPECT_EQ(client.Roundtrip("RELOAD m"), "OK RELOAD reloaded\n");
+    expect_per_call_bytes("after reload");
+    server->Shutdown();
+  }
   std::remove(path.c_str());
 }
 

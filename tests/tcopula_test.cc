@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "copula/empirical_copula.h"
@@ -267,8 +268,10 @@ TEST(TSamplerTest, ProducesValidTableWithDependence) {
   cdfs.push_back(
       *stats::EmpiricalCdf::FromCounts(std::vector<double>(200, 1.0)));
   const double rho = 0.7;
-  auto out = SampleSyntheticDataT(schema, cdfs, *data::Equicorrelation(2, rho),
-                                  4.0, 20000, &rng);
+  auto plan = SamplingPlan::StudentT(schema, cdfs,
+                                     *data::Equicorrelation(2, rho), 4.0);
+  ASSERT_TRUE(plan.ok());
+  auto out = plan->Sample(20000, &rng);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->Validate().ok());
   auto tau = stats::KendallTau(out->column(0), out->column(1));
@@ -276,15 +279,18 @@ TEST(TSamplerTest, ProducesValidTableWithDependence) {
 }
 
 TEST(TSamplerTest, ValidatesDof) {
-  Rng rng(25);
   data::Schema schema({{"a", 10}});
   std::vector<stats::EmpiricalCdf> cdfs;
   cdfs.push_back(
       *stats::EmpiricalCdf::FromCounts(std::vector<double>(10, 1.0)));
-  EXPECT_FALSE(SampleSyntheticDataT(schema, cdfs,
-                                    linalg::Matrix::Identity(1), -1.0, 10,
-                                    &rng)
-                   .ok());
+  // An infinite dof would make every chi-squared scale sqrt(inf / inf).
+  for (const double dof : {-1.0, 0.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    const auto plan = SamplingPlan::StudentT(
+        schema, cdfs, linalg::Matrix::Identity(1), dof);
+    ASSERT_FALSE(plan.ok()) << "dof " << dof;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(EmpiricalCopulaTest, FitValidation) {
