@@ -1,21 +1,28 @@
 // Google-benchmark micro suite for the numeric primitives underlying
 // DPCopula: Kendall's tau (the O(n log n) claim of §4.2), normal inverse
-// CDF, Cholesky, multivariate-normal sampling, the Haar/DCT transforms and
-// the EFPA marginal publisher.
+// CDF, Cholesky, multivariate-normal sampling, the Haar/DCT transforms,
+// the EFPA marginal publisher, and the CSV codec with serve's SAMPLE
+// renderer.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "common/rng.h"
 #include "copula/kendall_estimator.h"
 #include "copula/sampler.h"
 #include "copula/t_copula.h"
+#include "data/census.h"
+#include "data/csv.h"
 #include "data/generator.h"
 #include "hist/dct.h"
 #include "hist/summed_area.h"
 #include "hist/wavelet.h"
 #include "linalg/cholesky.h"
 #include "marginals/efpa.h"
+#include "serve/protocol.h"
 #include "stats/distributions.h"
 #include "stats/empirical_cdf.h"
 #include "stats/kendall.h"
@@ -238,6 +245,64 @@ void BM_SummedAreaVsDirectRangeSum(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SummedAreaVsDirectRangeSum)->Arg(0)->Arg(1);
+
+// The CSV codec and the SAMPLE renderer on census-shaped tables (8
+// small-domain attributes). Wall time, since the write includes an fsync.
+dpcopula::data::Table CensusTable(std::int64_t rows) {
+  Rng rng(43);
+  return dpcopula::data::GenerateBrazilCensus(static_cast<std::size_t>(rows),
+                                              &rng)
+      .ValueOrDie();
+}
+
+std::string CsvBenchPath() {
+  return (std::filesystem::temp_directory_path() / "dpcopula_bench_micro.csv")
+      .string();
+}
+
+void BM_CsvWrite(benchmark::State& state) {
+  const auto table = CensusTable(state.range(0));
+  const std::string path = CsvBenchPath();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dpcopula::data::WriteCsv(table, path));
+  }
+  state.SetItemsProcessed(state.range(0) * state.iterations());
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_CsvWrite)->Arg(100000)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
+
+void BM_CsvRead(benchmark::State& state) {
+  const std::string path = CsvBenchPath();
+  if (!dpcopula::data::WriteCsv(CensusTable(state.range(0)), path).ok()) {
+    state.SkipWithError("cannot write the input CSV");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dpcopula::data::ReadCsv(path));
+  }
+  state.SetItemsProcessed(state.range(0) * state.iterations());
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_CsvRead)->Arg(100000)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
+
+// Args: rows, binary framing. 100 csv rows is serve's small request,
+// 20,000 binary rows its bulk one.
+void BM_RenderSample(benchmark::State& state) {
+  const auto table = CensusTable(state.range(0));
+  const bool binary = state.range(1) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        dpcopula::serve::RenderSampleResponse(table, binary));
+  }
+  state.SetItemsProcessed(state.range(0) * state.iterations());
+}
+BENCHMARK(BM_RenderSample)
+    ->Args({100, 0})
+    ->Args({20000, 0})
+    ->Args({20000, 1})
+    ->UseRealTime();
 
 }  // namespace
 

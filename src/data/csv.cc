@@ -1,34 +1,59 @@
 #include "data/csv.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/atomic_file.h"
 #include "common/failpoint.h"
+#include "common/parse_number.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 
 namespace dpcopula::data {
 
+char* FormatCsvRow(const Table& table, std::size_t row, char* out) {
+  for (std::size_t j = 0; j < table.num_columns(); ++j) {
+    if (j > 0) *out++ = ',';
+    // Cells are integral points of a discrete domain; render them as
+    // integers so the bytes are an exact function of the table.
+    out = std::to_chars(out, out + 20, std::llround(table.at(row, j))).ptr;
+  }
+  return out;
+}
+
 Status WriteCsv(const Table& table, const std::string& path) {
   obs::StageScope stage(obs::Stage::kCsvWrite);
   return WriteFileAtomic(path, [&](std::ostream& out) -> Status {
     const auto& schema = table.schema();
+    std::string header;
     for (std::size_t j = 0; j < schema.num_attributes(); ++j) {
-      if (j) out << ',';
-      out << schema.attribute(j).name;
+      if (j) header += ',';
+      header += schema.attribute(j).name;
     }
-    out << '\n';
+    header += '\n';
+    out.write(header.data(), static_cast<std::streamsize>(header.size()));
+    // Rows are formatted into one block and handed to the stream whenever
+    // the block passes kCsvBlockBytes; the slack holds the row that does.
+    std::vector<char> block(kCsvBlockBytes +
+                            MaxCsvRowBytes(table.num_columns()) + 1);
+    std::size_t used = 0;
     for (std::size_t r = 0; r < table.num_rows(); ++r) {
-      for (std::size_t j = 0; j < table.num_columns(); ++j) {
-        if (j) out << ',';
-        out << static_cast<long long>(std::llround(table.at(r, j)));
+      char* end = FormatCsvRow(table, r, block.data() + used);
+      *end++ = '\n';
+      used = static_cast<std::size_t>(end - block.data());
+      if (used >= kCsvBlockBytes) {
+        out.write(block.data(), static_cast<std::streamsize>(used));
+        used = 0;
       }
-      out << '\n';
     }
+    out.write(block.data(), static_cast<std::streamsize>(used));
     if (!out) return Status::IOError("write failed: " + path);
     return Status::OK();
   });
@@ -59,68 +84,156 @@ const char* RowDefectName(RowDefect defect) {
   return "unknown";
 }
 
-/// Parses one data row into `cells` (resized to the column count).
-/// `check_non_finite` is off for the legacy strict readers, whose behavior
-/// must stay bit-for-bit unchanged.
-RowDefect ParseRow(const std::string& line, std::size_t num_columns,
-                   std::size_t row_index, bool check_non_finite,
-                   std::vector<double>* cells) {
-  if (DPC_FAILPOINT_AT("csv.read.row", row_index)) {
-    return RowDefect::kInjected;
-  }
-  std::stringstream ss(line);
-  std::string cell;
-  std::size_t j = 0;
-  RowDefect defect = RowDefect::kNone;
-  while (std::getline(ss, cell, ',')) {
-    if (j >= num_columns) return RowDefect::kTooManyCells;
-    char* end = nullptr;
-    const double v = std::strtod(cell.c_str(), &end);
-    if (end == cell.c_str()) return RowDefect::kNonNumeric;
-    if (check_non_finite && !std::isfinite(v)) {
-      defect = RowDefect::kNonFinite;  // Keep scanning for arity defects.
+/// Hands out the lines of a file without holding the file: complete lines
+/// are cut out of a block buffer, and a line that runs past the filled part
+/// moves to the buffer's front before the next block is read behind it. A
+/// line longer than the whole buffer doubles it.
+class LineReader {
+ public:
+  explicit LineReader(std::istream* in) : in_(in), buffer_(kCsvBlockBytes) {}
+
+  /// The next line without its terminator ('\n', or the end of the file,
+  /// and one '\r' before either). The view lives until the next call.
+  /// False once the file is exhausted.
+  bool Next(std::string_view* line) {
+    while (true) {
+      const char* const base = buffer_.data();
+      const void* newline = std::memchr(base + begin_, '\n', end_ - begin_);
+      std::size_t stop = end_;
+      if (newline != nullptr) {
+        stop = static_cast<std::size_t>(static_cast<const char*>(newline) -
+                                        base);
+      } else if (!eof_) {
+        Refill();
+        continue;
+      } else if (begin_ == end_) {
+        return false;
+      }
+      std::size_t length = stop - begin_;
+      if (length > 0 && base[begin_ + length - 1] == '\r') --length;
+      *line = std::string_view(base + begin_, length);
+      begin_ = stop < end_ ? stop + 1 : end_;
+      return true;
     }
-    (*cells)[j++] = v;
   }
-  if (j != num_columns) return RowDefect::kTooFewCells;
-  return defect;
+
+  /// True when a read failed (as opposed to reaching the end of the file).
+  bool failed() const { return in_->bad(); }
+
+ private:
+  void Refill() {
+    if (begin_ > 0) {
+      std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    if (end_ == buffer_.size()) buffer_.resize(2 * buffer_.size());
+    in_->read(buffer_.data() + end_,
+              static_cast<std::streamsize>(buffer_.size() - end_));
+    end_ += static_cast<std::size_t>(in_->gcount());
+    eof_ = !*in_;  // A short read means end of file (or a failed read).
+  }
+
+  std::istream* in_;
+  std::vector<char> buffer_;
+  std::size_t begin_ = 0;  // First byte not yet handed out.
+  std::size_t end_ = 0;    // One past the last byte read.
+  bool eof_ = false;
+};
+
+bool IsBlank(char c) { return c == ' ' || c == '\t'; }
+
+/// One cell that is not a plain run of digits: blanks, a number, blanks.
+RowDefect ParseCell(std::string_view cell, double* out) {
+  while (!cell.empty() && IsBlank(cell.front())) cell.remove_prefix(1);
+  while (!cell.empty() && IsBlank(cell.back())) cell.remove_suffix(1);
+  if (!ParseDouble(cell, out)) return RowDefect::kNonNumeric;
+  return std::isfinite(*out) ? RowDefect::kNone : RowDefect::kNonFinite;
 }
+
+/// Parses one non-blank data line into `cells[0, num_columns)`. Cells are
+/// scanned left to right: a cell past the last column is too many and a
+/// non-numeric cell ends the scan, while a non-finite cell is remembered
+/// and the scan goes on to look for arity defects.
+RowDefect ParseRow(std::string_view line, std::size_t num_columns,
+                   double* cells) {
+  RowDefect defect = RowDefect::kNone;
+  for (std::size_t j = 0;; ++j) {
+    if (j == num_columns) return RowDefect::kTooManyCells;
+    // Fast path: 1 to 15 digits, then a comma or the end of the line. Such
+    // an integer is below 2^53, so the double is exact and equal to what
+    // ParseDouble would return.
+    std::uint64_t value = 0;
+    std::size_t cell_end = 0;
+    while (cell_end < line.size() && cell_end < 15 &&
+           static_cast<unsigned>(line[cell_end] - '0') < 10u) {
+      value = 10 * value + static_cast<unsigned>(line[cell_end] - '0');
+      ++cell_end;
+    }
+    if (cell_end > 0 && (cell_end == line.size() || line[cell_end] == ',')) {
+      cells[j] = static_cast<double>(value);
+    } else {
+      cell_end = std::min(line.find(','), line.size());
+      const RowDefect cell = ParseCell(line.substr(0, cell_end), &cells[j]);
+      if (cell == RowDefect::kNonNumeric) return cell;
+      if (cell != RowDefect::kNone) defect = cell;
+    }
+    if (cell_end == line.size()) {
+      return j + 1 == num_columns ? defect : RowDefect::kTooFewCells;
+    }
+    line.remove_prefix(cell_end + 1);
+  }
+}
+
+std::vector<std::string> SplitHeader(std::string_view line) {
+  std::vector<std::string> names;
+  while (true) {
+    const std::size_t comma = line.find(',');
+    names.emplace_back(line.substr(0, comma));
+    if (comma == std::string_view::npos) return names;
+    line.remove_prefix(comma + 1);
+  }
+}
+
+/// Inferred domains are max(value)+1, which must fit an int64 domain size.
+constexpr double kMaxInferredValue = 0x1p62;
 
 Result<CsvReadResult> ReadCsvImpl(const std::string& path,
                                   const Schema* schema,
-                                  const ReadCsvOptions& options,
-                                  bool check_non_finite) {
+                                  const ReadCsvOptions& options) {
   obs::StageScope stage(obs::Stage::kCsvRead);
   static obs::Counter* const quarantined_counter =
       obs::MetricsRegistry::Global().GetCounter("csv.rows_quarantined");
 
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open for read: " + path);
   if (DPC_FAILPOINT("csv.read.open")) {
     return failpoint::InjectedFault("csv.read.open");
   }
 
-  std::string line;
-  if (!std::getline(in, line)) return Status::IOError("empty file: " + path);
-
-  std::vector<std::string> names;
-  {
-    std::stringstream ss(line);
-    std::string cell;
-    while (std::getline(ss, cell, ',')) names.push_back(cell);
+  LineReader lines(&in);
+  std::string_view line;
+  if (!lines.Next(&line)) {
+    if (lines.failed()) return Status::IOError("read failed: " + path);
+    return Status::IOError("empty file: " + path);
   }
-  if (names.empty()) return Status::IOError("no header columns: " + path);
+  if (line.empty()) return Status::IOError("no header columns: " + path);
+  const std::vector<std::string> names = SplitHeader(line);
+  if (schema != nullptr && schema->num_attributes() != names.size()) {
+    return Status::InvalidArgument("schema arity does not match CSV header");
+  }
 
   CsvReadStats stats;
   std::vector<std::vector<double>> cols(names.size());
   std::vector<double> cells(names.size());
   std::size_t line_no = 1;
-  while (std::getline(in, line)) {
+  while (lines.Next(&line)) {
     ++line_no;
     if (line.empty()) continue;
     const RowDefect defect =
-        ParseRow(line, names.size(), /*row_index=*/line_no - 2,
-                 check_non_finite, &cells);
+        DPC_FAILPOINT_AT("csv.read.row", /*row_index=*/line_no - 2)
+            ? RowDefect::kInjected
+            : ParseRow(line, names.size(), cells.data());
     if (defect == RowDefect::kNone) {
       for (std::size_t j = 0; j < names.size(); ++j) {
         cols[j].push_back(cells[j]);
@@ -147,6 +260,7 @@ Result<CsvReadResult> ReadCsvImpl(const std::string& path,
     }
     quarantined_counter->Increment();
   }
+  if (lines.failed()) return Status::IOError("read failed: " + path);
   if (stats.bad_rows > 0) {
     obs::Log(obs::LogLevel::kWarn, "csv.rows_quarantined")
         .Field("path", path)
@@ -157,63 +271,50 @@ Result<CsvReadResult> ReadCsvImpl(const std::string& path,
 
   Schema result_schema;
   if (schema != nullptr) {
-    if (schema->num_attributes() != names.size()) {
-      return Status::InvalidArgument("schema arity does not match CSV header");
-    }
     result_schema = *schema;
   } else {
     std::vector<Attribute> attrs;
     for (std::size_t j = 0; j < names.size(); ++j) {
       double mx = 0.0;
       for (double v : cols[j]) mx = std::max(mx, v);
+      if (mx >= kMaxInferredValue) {
+        return Status::InvalidArgument("column '" + names[j] +
+                                       "' is too large to infer a domain");
+      }
       attrs.push_back({names[j], static_cast<std::int64_t>(mx) + 1});
     }
     result_schema = Schema(std::move(attrs));
   }
-
-  const std::size_t n = cols[0].size();
-  Table table = Table::Zeros(result_schema, n);
-  for (std::size_t j = 0; j < cols.size(); ++j) {
-    if (cols[j].size() != n) {
-      return Status::Internal("ragged column lengths");
-    }
-    table.mutable_column(j) = std::move(cols[j]);
-  }
-  CsvReadResult result;
-  result.table = std::move(table);
-  result.stats = stats;
-  return result;
-}
-
-/// Legacy strict error shape: the per-defect message without the
-/// max_bad_rows suffix, as the pre-tolerant reader produced.
-Result<Table> StrictRead(const std::string& path, const Schema* schema) {
-  auto result = ReadCsvImpl(path, schema, ReadCsvOptions{},
-                            /*check_non_finite=*/false);
-  if (!result.ok()) return result.status();
-  return std::move(result->table);
+  DPC_ASSIGN_OR_RETURN(Table table, Table::FromColumns(std::move(result_schema),
+                                                       std::move(cols)));
+  return CsvReadResult{std::move(table), stats};
 }
 
 }  // namespace
 
-Result<Table> ReadCsv(const std::string& path) {
-  return StrictRead(path, nullptr);
-}
-
-Result<Table> ReadCsvWithSchema(const std::string& path,
-                                const Schema& schema) {
-  return StrictRead(path, &schema);
-}
-
 Result<CsvReadResult> ReadCsvTolerant(const std::string& path,
                                       const ReadCsvOptions& options) {
-  return ReadCsvImpl(path, nullptr, options, /*check_non_finite=*/true);
+  return ReadCsvImpl(path, nullptr, options);
 }
 
 Result<CsvReadResult> ReadCsvTolerantWithSchema(
     const std::string& path, const Schema& schema,
     const ReadCsvOptions& options) {
-  return ReadCsvImpl(path, &schema, options, /*check_non_finite=*/true);
+  return ReadCsvImpl(path, &schema, options);
+}
+
+Result<Table> ReadCsv(const std::string& path) {
+  DPC_ASSIGN_OR_RETURN(CsvReadResult read,
+                       ReadCsvTolerant(path, ReadCsvOptions{}));
+  return std::move(read.table);
+}
+
+Result<Table> ReadCsvWithSchema(const std::string& path,
+                                const Schema& schema) {
+  DPC_ASSIGN_OR_RETURN(
+      CsvReadResult read,
+      ReadCsvTolerantWithSchema(path, schema, ReadCsvOptions{}));
+  return std::move(read.table);
 }
 
 }  // namespace dpcopula::data

@@ -15,6 +15,22 @@ Table Table::Zeros(Schema schema, std::size_t num_rows) {
   return t;
 }
 
+Result<Table> Table::FromColumns(Schema schema,
+                                 std::vector<std::vector<double>> columns) {
+  if (columns.size() != schema.num_attributes()) {
+    return Status::InvalidArgument("FromColumns: arity mismatch");
+  }
+  Table t(std::move(schema));
+  t.num_rows_ = columns.empty() ? 0 : columns[0].size();
+  for (const auto& col : columns) {
+    if (col.size() != t.num_rows_) {
+      return Status::InvalidArgument("FromColumns: ragged column lengths");
+    }
+  }
+  t.columns_ = std::move(columns);
+  return t;
+}
+
 Status Table::AppendRow(const std::vector<double>& row) {
   if (row.size() != columns_.size()) {
     return Status::InvalidArgument("AppendRow: arity mismatch");
@@ -31,8 +47,7 @@ Status Table::Validate() const {
       if (!(v >= 0.0) || v >= static_cast<double>(domain) ||
           v != std::floor(v)) {
         return Status::OutOfRange("column '" + schema_.attribute(j).name +
-                                  "' has value " + std::to_string(v) +
-                                  " outside domain [0, " +
+                                  "' has a value outside domain [0, " +
                                   std::to_string(domain) + ")");
       }
     }

@@ -21,6 +21,10 @@ class Table {
   /// Creates a table with `num_rows` zero-initialized rows.
   static Table Zeros(Schema schema, std::size_t num_rows);
 
+  /// Takes over `columns`, one per attribute of `schema`, all of one length.
+  static Result<Table> FromColumns(Schema schema,
+                                   std::vector<std::vector<double>> columns);
+
   const Schema& schema() const { return schema_; }
   std::size_t num_rows() const { return num_rows_; }
   std::size_t num_columns() const { return columns_.size(); }
@@ -40,7 +44,8 @@ class Table {
   /// Appends one row; the span length must equal num_columns.
   Status AppendRow(const std::vector<double>& row);
 
-  /// Validates that every value lies in its attribute's domain.
+  /// Validates that every value lies in its attribute's domain. The error
+  /// names the column and the domain, never the offending value.
   Status Validate() const;
 
   /// Rows whose column `col` equals `value` (used by the hybrid partitioner).

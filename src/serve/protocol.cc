@@ -1,10 +1,11 @@
 #include "serve/protocol.h"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
+
+#include "common/parse_number.h"
+#include "data/csv.h"
 
 namespace dpcopula::serve {
 
@@ -22,27 +23,6 @@ std::vector<std::string> SplitFields(const std::string& line) {
   std::string field;
   while (in >> field) fields.push_back(std::move(field));
   return fields;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || text.empty() || errno == ERANGE) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseUint64(const std::string& text, std::uint64_t* out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || errno == ERANGE) return false;
-  *out = value;
-  return true;
 }
 
 }  // namespace
@@ -151,7 +131,6 @@ std::string RenderSampleResponse(const data::Table& table, bool binary) {
   out += binary ? " binary\n" : " csv\n";
   // Pre-size: ~8 bytes per cell covers small-domain integers with slack.
   out.reserve(out.size() + rows * cols * 8 + 16);
-  std::string row_text;
   if (!binary) {
     for (std::size_t j = 0; j < cols; ++j) {
       if (j > 0) out += ',';
@@ -159,25 +138,24 @@ std::string RenderSampleResponse(const data::Table& table, bool binary) {
     }
     out += '\n';
   }
+  // Each row is rendered by the CSV writer's formatter behind a 4-byte
+  // slot for the binary length prefix, then appended with its framing.
+  std::vector<char> row_text(4 + data::MaxCsvRowBytes(cols) + 1);
+  char* const cells = row_text.data() + 4;
   for (std::size_t i = 0; i < rows; ++i) {
-    row_text.clear();
-    for (std::size_t j = 0; j < cols; ++j) {
-      if (j > 0) row_text += ',';
-      // Cells are integral points of a discrete domain; render them as
-      // integers so the bytes are an exact function of the table.
-      row_text += std::to_string(std::llround(table.at(i, j)));
-    }
+    char* end = data::FormatCsvRow(table, i, cells);
+    char* begin = cells;
     if (binary) {
-      const auto length = static_cast<std::uint32_t>(row_text.size());
-      out += static_cast<char>(length & 0xff);
-      out += static_cast<char>((length >> 8) & 0xff);
-      out += static_cast<char>((length >> 16) & 0xff);
-      out += static_cast<char>((length >> 24) & 0xff);
-      out += row_text;
+      const auto length = static_cast<std::uint32_t>(end - cells);
+      begin -= 4;
+      begin[0] = static_cast<char>(length & 0xff);
+      begin[1] = static_cast<char>((length >> 8) & 0xff);
+      begin[2] = static_cast<char>((length >> 16) & 0xff);
+      begin[3] = static_cast<char>((length >> 24) & 0xff);
     } else {
-      out += row_text;
-      out += '\n';
+      *end++ = '\n';
     }
+    out.append(begin, end);
   }
   out += "END\n";
   return out;

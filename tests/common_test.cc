@@ -2,11 +2,14 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/parse_number.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -351,6 +354,52 @@ TEST(ParallelTest, EmptyAndSingleRangesWork) {
   ParallelForSharded(
       0, 1, 4, &rng, [&](std::size_t, std::size_t, Rng*) { ++calls; }, 8);
   EXPECT_EQ(calls, 1);
+}
+
+TEST(ParseNumberTest, DoubleTakesWholeDecimalOrExponentForms) {
+  const std::vector<std::pair<std::string, double>> good = {
+      {"0", 0.0},    {"12", 12.0},  {"-3.5", -3.5}, {"+4", 4.0},
+      {"1e3", 1e3},  {"2E-2", 2e-2}, {".5", 0.5},   {"5.", 5.0},
+      {"007", 7.0},  {"-0", -0.0},  {"+1e+2", 1e2},
+  };
+  for (const auto& [text, want] : good) {
+    double got = 99.0;
+    EXPECT_TRUE(ParseDouble(text, &got)) << text;
+    EXPECT_EQ(got, want) << text;
+    EXPECT_EQ(std::signbit(got), std::signbit(want)) << text;
+  }
+  double nan = 0.0, inf = 0.0;
+  EXPECT_TRUE(ParseDouble("nan", &nan));
+  EXPECT_TRUE(std::isnan(nan));
+  EXPECT_TRUE(ParseDouble("-Infinity", &inf));
+  EXPECT_TRUE(std::isinf(inf) && inf < 0);
+}
+
+TEST(ParseNumberTest, DoubleRefusesPartialAndForeignForms) {
+  for (const std::string text :
+       {"", "+", "-", "abc", "5abc", "5 ", " 5", "0x10", "0x1p3", "+-5",
+        "++5", "--5", "1e", "1.2.3", "1e400", "-1e400", "1e-400", "1,5"}) {
+    double got = 99.0;
+    EXPECT_FALSE(ParseDouble(text, &got)) << text;
+    EXPECT_EQ(got, 99.0) << text;  // Untouched on failure.
+  }
+}
+
+TEST(ParseNumberTest, Uint64TakesDigitsOnly) {
+  std::uint64_t got = 0;
+  EXPECT_TRUE(ParseUint64("0", &got));
+  EXPECT_EQ(got, 0u);
+  EXPECT_TRUE(ParseUint64("42", &got));
+  EXPECT_EQ(got, 42u);
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &got));
+  EXPECT_EQ(got, UINT64_MAX);
+  for (const std::string text :
+       {"", "-1", "+1", "4x", " 4", "4 ", "1.0", "1e3", "0x10",
+        "18446744073709551616", "abc"}) {
+    got = 7;
+    EXPECT_FALSE(ParseUint64(text, &got)) << text;
+    EXPECT_EQ(got, 7u) << text;
+  }
 }
 
 }  // namespace

@@ -2,16 +2,32 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/census.h"
 #include "data/csv.h"
 #include "data/generator.h"
 #include "data/table.h"
+#include "reference/csv_reference.h"
+#include "serve/protocol.h"
 #include "stats/kendall.h"
 
 namespace dpcopula::data {
 namespace {
+
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "dpcopula_" + name;
+}
+
+void WriteText(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
 
 Schema TwoColSchema() { return Schema({{"a", 10}, {"b", 5}}); }
 
@@ -45,6 +61,20 @@ TEST(TableTest, ValidateDetectsNonIntegral) {
   Table t(TwoColSchema());
   ASSERT_TRUE(t.AppendRow({1.5, 2}).ok());
   EXPECT_FALSE(t.Validate().ok());
+}
+
+TEST(TableTest, ValidateMessageCarriesNoCellValue) {
+  std::vector<std::string> messages;
+  for (double v : {7.0, std::nan(""), 1e9}) {
+    Table t(TwoColSchema());
+    ASSERT_TRUE(t.AppendRow({1, 2}).ok());
+    ASSERT_TRUE(t.AppendRow({3, v}).ok());  // Outside b's domain [0, 5).
+    const Status status = t.Validate();
+    ASSERT_FALSE(status.ok());
+    messages.push_back(status.message());
+  }
+  EXPECT_EQ(messages[0], messages[1]);
+  EXPECT_EQ(messages[0], messages[2]);
 }
 
 TEST(TableTest, FilterSelectsMatchingRows) {
@@ -125,6 +155,249 @@ TEST(CsvTest, InferredSchemaUsesMaxPlusOne) {
 TEST(CsvTest, MissingFileFails) {
   EXPECT_EQ(ReadCsv("/nonexistent/x.csv").status().code(),
             StatusCode::kIOError);
+}
+
+// Every case here was misread, or read as a different table, by the
+// line-at-a-time reader the block codec replaced.
+TEST(CsvTest, StrictReadFollowsTheCellGrammar) {
+  struct Case {
+    const char* label;
+    std::string text;
+    const char* error;  // Expected message prefix; nullptr = the read works.
+    std::vector<std::string> names;
+    std::vector<std::vector<double>> rows;
+  };
+  const std::vector<Case> cases = {
+      {"trailing letters", "a\n5abc\n", "non-numeric cell at line 2", {}, {}},
+      {"letters after a blank", "a\n5 abc\n", "non-numeric cell at line 2",
+       {}, {}},
+      {"hex integer", "a\n0x10\n", "non-numeric cell at line 2", {}, {}},
+      {"hex float", "a\n0x1p3\n", "non-numeric cell at line 2", {}, {}},
+      {"dangling exponent", "a\n1e\n", "non-numeric cell at line 2", {}, {}},
+      {"second decimal point", "a\n1.5.2\n", "non-numeric cell at line 2",
+       {}, {}},
+      {"out of range", "a\n1e400\n", "non-numeric cell at line 2", {}, {}},
+      {"trailing comma", "a,b\n1,2,\n", "too many cells at line 2", {}, {}},
+      {"nan", "a\nnan\n", "non-finite cell at line 2", {}, {}},
+      {"infinity", "a,b\n1,-inf\n", "non-finite cell at line 2", {}, {}},
+      {"domain past int64", "a\n1e19\n",
+       "column 'a' is too large to infer a domain", {}, {}},
+      {"crlf", "a,b\r\n1,2\r\n3,4\r", nullptr, {"a", "b"}, {{1, 2}, {3, 4}}},
+      {"crlf blank line", "a,b\r\n1,2\r\n\r\n3,4\r\n", nullptr, {"a", "b"},
+       {{1, 2}, {3, 4}}},
+  };
+  const std::string path = TempPath("csv_grammar.csv");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    WriteText(path, c.text);
+    auto read = ReadCsv(path);
+    if (c.error != nullptr) {
+      ASSERT_FALSE(read.ok());
+      EXPECT_EQ(read.status().message().rfind(c.error, 0), 0u)
+          << read.status().ToString();
+      continue;
+    }
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    ASSERT_EQ(read->num_columns(), c.names.size());
+    for (std::size_t j = 0; j < c.names.size(); ++j) {
+      EXPECT_EQ(read->schema().attribute(j).name, c.names[j]);
+    }
+    ASSERT_EQ(read->num_rows(), c.rows.size());
+    for (std::size_t r = 0; r < c.rows.size(); ++r) {
+      for (std::size_t j = 0; j < c.names.size(); ++j) {
+        EXPECT_EQ(read->at(r, j), c.rows[r][j]);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+/// One random cell: mostly plain integers (the reader's digit fast path),
+/// sometimes a form only the general parser takes, sometimes a defect.
+std::string RandomCell(Rng* rng) {
+  const std::string digits = std::to_string(rng->NextUint64Below(1000));
+  switch (rng->NextUint64Below(48)) {
+    case 0: return " " + digits + "\t";
+    case 1: return "+" + digits;
+    case 2: return "-" + digits;
+    case 3: return digits + ".25";
+    case 4: return digits + "e2";
+    case 5: return "00" + digits;
+    case 6: return std::to_string(rng->NextUint64() >> 12);  // Up to 16 digits.
+    case 7: return std::to_string(rng->NextUint64() >> 3);   // Rounds.
+    case 8: return "";
+    case 9: return digits + "x";
+    case 10: return "0x" + digits;
+    case 11: return "+-" + digits;
+    case 12: return digits + " " + digits;
+    case 13: return "nan";
+    case 14: return "-Infinity";
+    case 15: return "1e400";
+    default: return digits;
+  }
+}
+
+/// A CSV of at least `min_bytes` with random defects, blank lines, mixed
+/// LF/CRLF endings and no final newline. One CRLF straddles the reader's
+/// first block boundary and one row is longer than a whole block.
+std::string RandomCsvText(std::uint64_t seed, std::size_t num_columns,
+                          std::size_t min_bytes) {
+  Rng rng(seed);
+  std::string text;
+  const auto end_line = [&] {
+    text += rng.NextUint64Below(4) == 0 ? "\r\n" : "\n";
+  };
+  const auto row = [&](std::size_t cells) {
+    for (std::size_t j = 0; j < cells; ++j) {
+      if (j > 0) text += ',';
+      text += RandomCell(&rng);
+    }
+  };
+  for (std::size_t j = 0; j < num_columns; ++j) {
+    text += (j > 0 ? ",c" : "c") + std::to_string(j);
+  }
+  end_line();
+  bool straddled = false;
+  bool long_line = false;
+  while (text.size() < min_bytes) {
+    if (!straddled && text.size() + 512 >= kCsvBlockBytes) {
+      // A valid row padded so that its '\r' is the block's last byte.
+      std::string cells = "1";
+      for (std::size_t j = 1; j < num_columns; ++j) cells += ",2";
+      text += std::string(kCsvBlockBytes - 1 - text.size() - cells.size(), ' ');
+      text += cells + "\r\n";
+      straddled = true;
+      continue;
+    }
+    if (!long_line && text.size() >= kCsvBlockBytes + kCsvBlockBytes / 4) {
+      text += std::string(kCsvBlockBytes + 4321, ' ') + "7";
+      for (std::size_t j = 1; j < num_columns; ++j) text += ",8";
+      end_line();
+      long_line = true;
+      continue;
+    }
+    const std::uint64_t kind = rng.NextUint64Below(100);
+    if (kind < 3) {
+      end_line();  // Blank line.
+      continue;
+    }
+    row(kind < 6 ? num_columns + 1 : kind < 9 ? num_columns - 1
+                                              : num_columns);
+    if (kind == 9) text += ',';
+    end_line();
+  }
+  // A valid last line without a terminator ('\r' alone for even seeds).
+  text += "5";
+  for (std::size_t j = 1; j < num_columns; ++j) text += ",6";
+  if (seed % 2 == 0) text += '\r';
+  return text;
+}
+
+void ExpectSameRead(const Result<CsvReadResult>& got,
+                    const Result<CsvReadResult>& want) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << got.status().ToString() << " vs " << want.status().ToString();
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    return;
+  }
+  const CsvReadStats& a = got->stats;
+  const CsvReadStats& b = want->stats;
+  EXPECT_EQ(a.rows_kept, b.rows_kept);
+  EXPECT_EQ(a.bad_rows, b.bad_rows);
+  EXPECT_EQ(a.bad_too_many_cells, b.bad_too_many_cells);
+  EXPECT_EQ(a.bad_too_few_cells, b.bad_too_few_cells);
+  EXPECT_EQ(a.bad_non_numeric, b.bad_non_numeric);
+  EXPECT_EQ(a.bad_non_finite, b.bad_non_finite);
+  EXPECT_EQ(a.bad_injected, b.bad_injected);
+  EXPECT_EQ(a.first_bad_line, b.first_bad_line);
+  const Table& x = got->table;
+  const Table& y = want->table;
+  ASSERT_TRUE(x.schema() == y.schema());
+  ASSERT_EQ(x.num_rows(), y.num_rows());
+  for (std::size_t j = 0; j < x.num_columns(); ++j) {
+    EXPECT_EQ(std::memcmp(x.column(j).data(), y.column(j).data(),
+                          x.num_rows() * sizeof(double)),
+              0)
+        << "column " << j;
+  }
+}
+
+TEST(CsvCodecTest, BlockReaderMatchesLineAtATimeReference) {
+  const std::string path = TempPath("csv_differential.csv");
+  const Schema declared({{"c0", 1000}, {"c1", 1000}, {"c2", 1000}});
+  for (std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    const std::string text = RandomCsvText(seed, 3, 2 * kCsvBlockBytes + 99);
+    ASSERT_EQ(text.substr(kCsvBlockBytes - 1, 2), "\r\n");
+    WriteText(path, text);
+    for (std::size_t max_bad :
+         {std::numeric_limits<std::size_t>::max(), std::size_t{0},
+          std::size_t{2000}}) {
+      ReadCsvOptions options;
+      options.max_bad_rows = max_bad;
+      const auto want = reference::ReadCsvReference(path, nullptr, options);
+      ExpectSameRead(ReadCsvTolerant(path, options), want);
+      if (max_bad == std::numeric_limits<std::size_t>::max()) {
+        // The file really holds every defect kind.
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        EXPECT_GT(want->stats.bad_too_many_cells, 0u);
+        EXPECT_GT(want->stats.bad_too_few_cells, 0u);
+        EXPECT_GT(want->stats.bad_non_numeric, 0u);
+        EXPECT_GT(want->stats.bad_non_finite, 0u);
+        EXPECT_GT(want->stats.rows_kept, want->stats.bad_rows);
+      }
+      ExpectSameRead(
+          ReadCsvTolerantWithSchema(path, declared, options),
+          reference::ReadCsvReference(path, &declared, options));
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CsvCodecTest, WriteThenReadIsBitExact) {
+  Rng rng(8);
+  const Schema schema({{"small", 10}, {"wide", 1}, {"signed", 1}});
+  Table t = Table::Zeros(schema, 100000);
+  for (std::size_t r = 0; r < t.num_rows(); ++r) {
+    t.set(r, 0, static_cast<double>(rng.NextUint64Below(10)));
+    t.set(r, 1, static_cast<double>(rng.NextInt64InRange(
+                    -(std::int64_t{1} << 53), std::int64_t{1} << 53)));
+    t.set(r, 2, static_cast<double>(rng.NextInt64InRange(-999, 999)));
+  }
+  const std::string path = TempPath("csv_roundtrip.csv");
+  ASSERT_TRUE(WriteCsv(t, path).ok());
+  auto back = ReadCsvWithSchema(path, schema);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->num_rows(), t.num_rows());
+  for (std::size_t j = 0; j < t.num_columns(); ++j) {
+    EXPECT_EQ(std::memcmp(back->column(j).data(), t.column(j).data(),
+                          t.num_rows() * sizeof(double)),
+              0)
+        << "column " << j;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CsvCodecTest, SampleRendererMatchesToStringLoop) {
+  Rng rng(5);
+  const Schema schema({{"age", 100}, {"income", 1 << 20}, {"flag", 2}});
+  for (std::size_t rows : {0, 1, 255, 256, 257, 20000}) {
+    SCOPED_TRACE(rows);
+    Table t = Table::Zeros(schema, rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      t.set(r, 0, static_cast<double>(rng.NextUint64Below(100)));
+      // Large magnitudes of both signs and halves that llround rounds.
+      t.set(r, 1, static_cast<double>(rng.NextInt64InRange(
+                      -(std::int64_t{1} << 60), std::int64_t{1} << 60)));
+      t.set(r, 2, static_cast<double>(rng.NextInt64InRange(-9, 9)) + 0.5);
+    }
+    for (bool binary : {false, true}) {
+      EXPECT_EQ(serve::RenderSampleResponse(t, binary),
+                reference::RenderSampleReference(t, binary))
+          << (binary ? "binary" : "csv");
+    }
+  }
 }
 
 TEST(MarginSpecTest, ProbabilitiesNormalized) {

@@ -35,8 +35,6 @@
 //                       the kernel allows them (implies metrics)
 //   --log-level LEVEL   trace|debug|info|warn|error|off (default warn)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -49,8 +47,12 @@
 #include "obs/profile.h"
 #include "obs/report.h"
 #include "obs/trace_export.h"
+#include "flag_value.h"
 
 namespace {
+
+using dpcopula::tools::FlagDouble;
+using dpcopula::tools::FlagUint;
 
 struct CliArgs {
   std::string input;
@@ -61,10 +63,10 @@ struct CliArgs {
   std::string family = "gaussian";
   double t_dof = 0.0;
   bool hybrid = true;
-  long long rows = 0;
+  std::size_t rows = 0;
   double oversample = 1.0;
   int threads = 0;  // 0 = hardware concurrency.
-  long long max_bad_rows = 0;
+  std::size_t max_bad_rows = 0;
   bool strict_csv = false;
   unsigned long long seed = 42;
   std::string model_out;
@@ -116,13 +118,9 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!v) return false;
       args->output = v;
     } else if (flag == "--epsilon") {
-      const char* v = next();
-      if (!v) return false;
-      args->epsilon = std::atof(v);
+      if (!FlagDouble(flag, next(), &args->epsilon)) return false;
     } else if (flag == "--k") {
-      const char* v = next();
-      if (!v) return false;
-      args->k = std::atof(v);
+      if (!FlagDouble(flag, next(), &args->k)) return false;
     } else if (flag == "--estimator") {
       const char* v = next();
       if (!v) return false;
@@ -132,33 +130,21 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!v) return false;
       args->family = v;
     } else if (flag == "--t-dof") {
-      const char* v = next();
-      if (!v) return false;
-      args->t_dof = std::atof(v);
+      if (!FlagDouble(flag, next(), &args->t_dof)) return false;
     } else if (flag == "--no-hybrid") {
       args->hybrid = false;
     } else if (flag == "--rows") {
-      const char* v = next();
-      if (!v) return false;
-      args->rows = std::atoll(v);
+      if (!FlagUint(flag, next(), &args->rows)) return false;
     } else if (flag == "--oversample") {
-      const char* v = next();
-      if (!v) return false;
-      args->oversample = std::atof(v);
+      if (!FlagDouble(flag, next(), &args->oversample)) return false;
     } else if (flag == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      args->threads = std::atoi(v);
+      if (!FlagUint(flag, next(), &args->threads)) return false;
     } else if (flag == "--max-bad-rows") {
-      const char* v = next();
-      if (!v) return false;
-      args->max_bad_rows = std::atoll(v);
+      if (!FlagUint(flag, next(), &args->max_bad_rows)) return false;
     } else if (flag == "--strict-csv") {
       args->strict_csv = true;
     } else if (flag == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      args->seed = std::strtoull(v, nullptr, 10);
+      if (!FlagUint(flag, next(), &args->seed)) return false;
     } else if (flag == "--model-out") {
       const char* v = next();
       if (!v) return false;
@@ -257,9 +243,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     Rng rng(args.seed);
-    auto sample = core::SampleFromModel(
-        *model, args.rows > 0 ? static_cast<std::size_t>(args.rows) : 0,
-        &rng);
+    auto sample = core::SampleFromModel(*model, args.rows, &rng);
     if (!sample.ok()) {
       std::fprintf(stderr, "sampling failed: %s\n",
                    sample.status().ToString().c_str());
@@ -279,37 +263,25 @@ int main(int argc, char** argv) {
     return write_report(nullptr) ? 0 : 1;
   }
 
-  data::Table input_table{data::Schema()};
-  if (args.strict_csv || args.max_bad_rows <= 0) {
-    auto table = data::ReadCsv(args.input);
-    if (!table.ok()) {
-      std::fprintf(stderr, "failed to read %s: %s\n", args.input.c_str(),
-                   table.status().ToString().c_str());
-      return 1;
-    }
-    input_table = std::move(*table);
-  } else {
-    data::ReadCsvOptions read_options;
-    read_options.max_bad_rows = static_cast<std::size_t>(args.max_bad_rows);
-    auto read = data::ReadCsvTolerant(args.input, read_options);
-    if (!read.ok()) {
-      std::fprintf(stderr, "failed to read %s: %s\n", args.input.c_str(),
-                   read.status().ToString().c_str());
-      return 1;
-    }
-    const data::CsvReadStats& stats = read->stats;
-    if (stats.bad_rows > 0) {
-      std::fprintf(stderr,
-                   "quarantined %zu bad rows (first at line %zu): "
-                   "%zu too-many-cells, %zu too-few-cells, %zu non-numeric, "
-                   "%zu non-finite\n",
-                   stats.bad_rows, stats.first_bad_line,
-                   stats.bad_too_many_cells, stats.bad_too_few_cells,
-                   stats.bad_non_numeric, stats.bad_non_finite);
-    }
-    input_table = std::move(read->table);
+  data::ReadCsvOptions read_options;
+  read_options.max_bad_rows = args.strict_csv ? 0 : args.max_bad_rows;
+  auto read = data::ReadCsvTolerant(args.input, read_options);
+  if (!read.ok()) {
+    std::fprintf(stderr, "failed to read %s: %s\n", args.input.c_str(),
+                 read.status().ToString().c_str());
+    return 1;
   }
-  const data::Table* table = &input_table;
+  const data::CsvReadStats& stats = read->stats;
+  if (stats.bad_rows > 0) {
+    std::fprintf(stderr,
+                 "quarantined %zu bad rows (first at line %zu): "
+                 "%zu too-many-cells, %zu too-few-cells, %zu non-numeric, "
+                 "%zu non-finite\n",
+                 stats.bad_rows, stats.first_bad_line,
+                 stats.bad_too_many_cells, stats.bad_too_few_cells,
+                 stats.bad_non_numeric, stats.bad_non_finite);
+  }
+  const data::Table* table = &read->table;
   std::fprintf(stderr, "read %zu rows x %zu attributes from %s\n",
                table->num_rows(), table->num_columns(), args.input.c_str());
 
@@ -318,9 +290,7 @@ int main(int argc, char** argv) {
   inner.budget_ratio_k = args.k;
   inner.oversample_factor = args.oversample;
   inner.num_threads = args.threads;
-  if (args.rows > 0) {
-    inner.num_synthetic_rows = static_cast<std::size_t>(args.rows);
-  }
+  if (args.rows > 0) inner.num_synthetic_rows = args.rows;
   if (args.estimator == "mle") {
     inner.estimator = core::CorrelationEstimator::kMle;
   } else if (args.estimator != "kendall") {

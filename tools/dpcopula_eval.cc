@@ -21,7 +21,6 @@
 // --profile enables the stage profiler (per-stage histograms, peak RSS,
 // hardware counters where the kernel allows them).
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -37,8 +36,12 @@
 #include "query/fidelity_metrics.h"
 #include "query/privacy_metrics.h"
 #include "query/workload.h"
+#include "flag_value.h"
 
 namespace {
+
+using dpcopula::tools::FlagDouble;
+using dpcopula::tools::FlagUint;
 
 struct CliArgs {
   std::string original;
@@ -46,7 +49,7 @@ struct CliArgs {
   std::size_t queries = 500;
   double sanity = 1.0;
   int threads = 0;  // 0 = hardware concurrency.
-  long long max_bad_rows = 0;
+  std::size_t max_bad_rows = 0;
   bool strict_csv = false;
   unsigned long long seed = 42;
   std::string trace_json;
@@ -70,27 +73,17 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!v) return false;
       args->synthetic = v;
     } else if (flag == "--queries") {
-      const char* v = next();
-      if (!v) return false;
-      args->queries = static_cast<std::size_t>(std::atoll(v));
+      if (!FlagUint(flag, next(), &args->queries)) return false;
     } else if (flag == "--sanity") {
-      const char* v = next();
-      if (!v) return false;
-      args->sanity = std::atof(v);
+      if (!FlagDouble(flag, next(), &args->sanity)) return false;
     } else if (flag == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      args->threads = std::atoi(v);
+      if (!FlagUint(flag, next(), &args->threads)) return false;
     } else if (flag == "--max-bad-rows") {
-      const char* v = next();
-      if (!v) return false;
-      args->max_bad_rows = std::atoll(v);
+      if (!FlagUint(flag, next(), &args->max_bad_rows)) return false;
     } else if (flag == "--strict-csv") {
       args->strict_csv = true;
     } else if (flag == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      args->seed = std::strtoull(v, nullptr, 10);
+      if (!FlagUint(flag, next(), &args->seed)) return false;
     } else if (flag == "--trace-json") {
       const char* v = next();
       if (!v) return false;
@@ -143,55 +136,37 @@ int main(int argc, char** argv) {
   std::optional<obs::ProfileSession> profile_session;
   if (args.profile) profile_session.emplace();
 
-  const bool tolerant = !args.strict_csv && args.max_bad_rows > 0;
   data::ReadCsvOptions read_options;
-  read_options.max_bad_rows =
-      tolerant ? static_cast<std::size_t>(args.max_bad_rows) : 0;
-  auto report_quarantine = [](const char* path,
-                              const data::CsvReadStats& stats) {
-    if (stats.bad_rows == 0) return;
-    std::fprintf(stderr,
-                 "%s: quarantined %zu bad rows (first at line %zu)\n", path,
-                 stats.bad_rows, stats.first_bad_line);
+  read_options.max_bad_rows = args.strict_csv ? 0 : args.max_bad_rows;
+  // Reads one input, reporting its quarantined rows; nullopt after a
+  // failure, which it has printed.
+  auto read_input = [&](const std::string& path, const data::Schema* schema)
+      -> std::optional<data::Table> {
+    auto read =
+        schema == nullptr
+            ? data::ReadCsvTolerant(path, read_options)
+            : data::ReadCsvTolerantWithSchema(path, *schema, read_options);
+    if (!read.ok()) {
+      std::fprintf(stderr, "failed to read %s: %s\n", path.c_str(),
+                   read.status().ToString().c_str());
+      return std::nullopt;
+    }
+    if (read->stats.bad_rows > 0) {
+      std::fprintf(stderr,
+                   "%s: quarantined %zu bad rows (first at line %zu)\n",
+                   path.c_str(), read->stats.bad_rows,
+                   read->stats.first_bad_line);
+    }
+    return std::move(read->table);
   };
 
-  Result<data::Table> original(data::Table{data::Schema()});
-  if (tolerant) {
-    auto read = data::ReadCsvTolerant(args.original, read_options);
-    if (read.ok()) {
-      report_quarantine(args.original.c_str(), read->stats);
-      original = std::move(read->table);
-    } else {
-      original = read.status();
-    }
-  } else {
-    original = data::ReadCsv(args.original);
-  }
-  if (!original.ok()) {
-    std::fprintf(stderr, "failed to read %s: %s\n", args.original.c_str(),
-                 original.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<data::Table> original = read_input(args.original, nullptr);
+  if (!original) return 1;
   // Read the synthetic data under the original's schema so both tables
   // agree on domains even if the synthetic file lacks extreme values.
-  Result<data::Table> synthetic(data::Table{data::Schema()});
-  if (tolerant) {
-    auto read = data::ReadCsvTolerantWithSchema(
-        args.synthetic, original->schema(), read_options);
-    if (read.ok()) {
-      report_quarantine(args.synthetic.c_str(), read->stats);
-      synthetic = std::move(read->table);
-    } else {
-      synthetic = read.status();
-    }
-  } else {
-    synthetic = data::ReadCsvWithSchema(args.synthetic, original->schema());
-  }
-  if (!synthetic.ok()) {
-    std::fprintf(stderr, "failed to read %s: %s\n", args.synthetic.c_str(),
-                 synthetic.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<data::Table> synthetic =
+      read_input(args.synthetic, &original->schema());
+  if (!synthetic) return 1;
   std::printf("original:  %zu rows x %zu attributes\n", original->num_rows(),
               original->num_columns());
   std::printf("synthetic: %zu rows\n\n", synthetic->num_rows());

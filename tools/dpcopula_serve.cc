@@ -8,11 +8,11 @@
 // (mtime-based hot reload with atomic version swap), and backpressure
 // (bounded accept queue with fast 503 rejects).
 //
-//   daemon:  dpcopula_serve --model census=census.model --port 7070 \
-//                [--ledger budgets.ledger] [--default-allowance X] \
-//                [--workers N] [--sample-threads N] [--queue-capacity N] \
-//                [--max-rows N] [--host H] [--port-file PATH] \
-//                [--duration-seconds N] [--trace-json PATH] \
+//   daemon:  dpcopula_serve --model census=census.model --port 7070
+//                [--ledger budgets.ledger] [--default-allowance X]
+//                [--workers N] [--sample-threads N] [--queue-capacity N]
+//                [--max-rows N] [--host H] [--port-file PATH]
+//                [--duration-seconds N] [--trace-json PATH]
 //                [--trace-chrome PATH] [--profile] [--log-level LEVEL]
 //   client:  dpcopula_serve --client HOST:PORT --request "PING"
 //
@@ -29,7 +29,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -44,8 +43,14 @@
 #include "obs/report.h"
 #include "obs/trace_export.h"
 #include "serve/server.h"
+#include "flag_value.h"
 
 namespace {
+
+using dpcopula::tools::FlagDouble;
+using dpcopula::tools::FlagUint;
+
+constexpr std::uint64_t kMaxPort = 65535;
 
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -98,43 +103,31 @@ bool ParseArgs(int argc, char** argv, ServeArgs* args) {
       if (!v) return false;
       args->server.host = v;
     } else if (flag == "--port") {
-      const char* v = next();
-      if (!v) return false;
-      args->server.port = std::atoi(v);
+      if (!FlagUint(flag, next(), &args->server.port, kMaxPort)) return false;
     } else if (flag == "--port-file") {
       const char* v = next();
       if (!v) return false;
       args->port_file = v;
     } else if (flag == "--workers") {
-      const char* v = next();
-      if (!v) return false;
-      args->server.num_workers = std::atoi(v);
+      if (!FlagUint(flag, next(), &args->server.num_workers)) return false;
     } else if (flag == "--sample-threads") {
-      const char* v = next();
-      if (!v) return false;
-      args->server.sample_threads = std::atoi(v);
+      if (!FlagUint(flag, next(), &args->server.sample_threads)) return false;
     } else if (flag == "--queue-capacity") {
-      const char* v = next();
-      if (!v) return false;
-      args->server.queue_capacity =
-          static_cast<std::size_t>(std::atoll(v));
+      if (!FlagUint(flag, next(), &args->server.queue_capacity)) return false;
     } else if (flag == "--max-rows") {
-      const char* v = next();
-      if (!v) return false;
-      args->server.max_rows_per_request =
-          static_cast<std::uint64_t>(std::atoll(v));
+      if (!FlagUint(flag, next(), &args->server.max_rows_per_request)) {
+        return false;
+      }
     } else if (flag == "--ledger") {
       const char* v = next();
       if (!v) return false;
       args->server.ledger.persist_path = v;
     } else if (flag == "--default-allowance") {
-      const char* v = next();
-      if (!v) return false;
-      args->server.ledger.default_allowance = std::atof(v);
+      if (!FlagDouble(flag, next(), &args->server.ledger.default_allowance)) {
+        return false;
+      }
     } else if (flag == "--duration-seconds") {
-      const char* v = next();
-      if (!v) return false;
-      args->duration_seconds = std::atoll(v);
+      if (!FlagUint(flag, next(), &args->duration_seconds)) return false;
     } else if (flag == "--client") {
       const char* v = next();
       if (!v) return false;
@@ -175,7 +168,8 @@ int RunClient(const std::string& target, const std::string& request) {
     return 2;
   }
   const std::string host = target.substr(0, colon);
-  const int port = std::atoi(target.c_str() + colon + 1);
+  std::uint16_t port = 0;
+  if (!FlagUint("--client port", target.c_str() + colon + 1, &port)) return 2;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     std::perror("socket");
@@ -183,7 +177,7 @@ int RunClient(const std::string& target, const std::string& request) {
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     std::fprintf(stderr, "bad host '%s' (want an IPv4 address)\n",
                  host.c_str());
