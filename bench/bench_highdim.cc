@@ -7,11 +7,8 @@
 // so tools/bench_to_json extracts items_per_second into
 // BENCH_highdim.json.
 //
-// The acceptance pair is BM_HighDimEstimateRepair_{TridiagQL,Jacobi}/200:
-// the tridiagonal QL kernel must hold >= 5x the Jacobi kernel's rate on
-// the m = 200 estimate->repair leg. Jacobi is not swept past m = 200
-// (its per-solve cost is O(m^3) per sweep with a large constant; the
-// m = 500 leg alone would dominate the bench-smoke wall clock).
+// The acceptance leg is BM_HighDimEstimateRepair_TridiagQL/200. The rows
+// keep their `_TridiagQL` names so their ledger history stays comparable.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -26,7 +23,6 @@
 #include "data/generator.h"
 #include "data/table.h"
 #include "linalg/cholesky.h"
-#include "linalg/eigen_sym.h"
 #include "stats/empirical_cdf.h"
 
 namespace {
@@ -35,7 +31,6 @@ using dpcopula::Rng;
 using dpcopula::copula::EstimateKendallCorrelation;
 using dpcopula::copula::KendallEstimatorOptions;
 using dpcopula::copula::SampleSyntheticData;
-using dpcopula::linalg::EigenKernel;
 
 constexpr std::size_t kRows = 64;
 constexpr std::int64_t kDomain = 8;
@@ -86,20 +81,19 @@ const Fixture& GetFixture(std::size_t m) {
   return cache->emplace(m, std::move(fx)).first->second;
 }
 
-KendallEstimatorOptions PipelineOptions(EigenKernel kernel) {
+KendallEstimatorOptions PipelineOptions() {
   KendallEstimatorOptions options;
   options.subsample = false;  // n is already small; measure the full table.
   options.num_threads = kThreads;
-  options.eigen_kernel = kernel;
   return options;
 }
 
 /// Full synthesis pipeline: DP Kendall estimation (repair included) ->
 /// Cholesky factorization -> synthetic sampling at n rows.
-void RunPipeline(benchmark::State& state, EigenKernel kernel) {
+void BM_HighDimPipeline_TridiagQL(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const Fixture& fx = GetFixture(m);
-  const KendallEstimatorOptions options = PipelineOptions(kernel);
+  const KendallEstimatorOptions options = PipelineOptions();
   for (auto _ : state) {
     Rng rng(7);
     auto est = EstimateKendallCorrelation(fx.table, kEpsilon2, &rng, options);
@@ -123,13 +117,19 @@ void RunPipeline(benchmark::State& state, EigenKernel kernel) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kRows));
 }
+BENCHMARK(BM_HighDimPipeline_TridiagQL)
+    ->Arg(10)
+    ->Arg(50)
+    ->Arg(100)
+    ->Arg(200)
+    ->Arg(500)
+    ->Unit(benchmark::kMillisecond);
 
-/// Estimation + repair only -- the acceptance leg comparing the two
-/// eigensolver kernels on identical noisy input.
-void RunEstimateRepair(benchmark::State& state, EigenKernel kernel) {
+/// Estimation + repair only -- the eigensolver-dominated acceptance leg.
+void BM_HighDimEstimateRepair_TridiagQL(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const Fixture& fx = GetFixture(m);
-  const KendallEstimatorOptions options = PipelineOptions(kernel);
+  const KendallEstimatorOptions options = PipelineOptions();
   for (auto _ : state) {
     Rng rng(7);
     auto est = EstimateKendallCorrelation(fx.table, kEpsilon2, &rng, options);
@@ -146,37 +146,7 @@ void RunEstimateRepair(benchmark::State& state, EigenKernel kernel) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kRows));
 }
-
-void BM_HighDimPipeline_TridiagQL(benchmark::State& state) {
-  RunPipeline(state, EigenKernel::kTridiagQL);
-}
-BENCHMARK(BM_HighDimPipeline_TridiagQL)
-    ->Arg(10)
-    ->Arg(50)
-    ->Arg(100)
-    ->Arg(200)
-    ->Arg(500)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_HighDimPipeline_Jacobi(benchmark::State& state) {
-  RunPipeline(state, EigenKernel::kJacobi);
-}
-BENCHMARK(BM_HighDimPipeline_Jacobi)
-    ->Arg(200)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_HighDimEstimateRepair_TridiagQL(benchmark::State& state) {
-  RunEstimateRepair(state, EigenKernel::kTridiagQL);
-}
 BENCHMARK(BM_HighDimEstimateRepair_TridiagQL)
-    ->Arg(100)
-    ->Arg(200)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_HighDimEstimateRepair_Jacobi(benchmark::State& state) {
-  RunEstimateRepair(state, EigenKernel::kJacobi);
-}
-BENCHMARK(BM_HighDimEstimateRepair_Jacobi)
     ->Arg(100)
     ->Arg(200)
     ->Unit(benchmark::kMillisecond);

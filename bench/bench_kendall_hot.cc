@@ -1,11 +1,9 @@
-// Hot-path benchmark for DPCopula-Kendall estimation (Alg. 4/5): the
-// legacy one-comparator-sort-per-pair kernel against the rank-cache
-// production kernel (per-column rank structures built once; contingency
+// Hot-path benchmark for DPCopula-Kendall estimation (Alg. 4/5) on the
+// rank-cache kernel (per-column rank structures built once; contingency
 // table or counting-sort + merge-count per pair, reusable per-thread
 // workspaces). Rows/sec is reported via SetItemsProcessed so
 // tools/bench_to_json extracts items_per_second into BENCH_kendall.json.
-// The acceptance configuration is m = 10, N = 1M, single thread: the
-// rank-cache kernel must hold >= 3x the legacy kernel's rows/sec.
+// The acceptance configuration is m = 10, N = 1M, single thread.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -23,7 +21,6 @@ namespace {
 using dpcopula::Rng;
 using dpcopula::copula::EstimateKendallCorrelation;
 using dpcopula::copula::KendallEstimatorOptions;
-using dpcopula::stats::TauKernel;
 
 constexpr std::size_t kRows = 1'000'000;
 constexpr std::size_t kDims = 10;
@@ -58,13 +55,11 @@ const dpcopula::data::Table& Fixture(std::int64_t domain) {
   return domain == kDomain ? *discrete : *wide;
 }
 
-void RunEstimator(benchmark::State& state, std::int64_t domain,
-                  TauKernel kernel, int threads) {
+void RunEstimator(benchmark::State& state, std::int64_t domain) {
   const auto& table = Fixture(domain);
   KendallEstimatorOptions options;
   options.subsample = false;  // Measure the full-n estimation cost.
-  options.kernel = kernel;
-  options.num_threads = threads;
+  options.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Rng rng(7);
     auto est = EstimateKendallCorrelation(table, 1.0, &rng, options);
@@ -75,14 +70,8 @@ void RunEstimator(benchmark::State& state, std::int64_t domain,
                           static_cast<std::int64_t>(kRows));
 }
 
-void BM_KendallHot_Legacy(benchmark::State& state) {
-  RunEstimator(state, kDomain, TauKernel::kLegacy, 1);
-}
-BENCHMARK(BM_KendallHot_Legacy)->Unit(benchmark::kMillisecond);
-
 void BM_KendallHot_RankCache(benchmark::State& state) {
-  RunEstimator(state, kDomain, TauKernel::kRankCache,
-               static_cast<int>(state.range(0)));
+  RunEstimator(state, kDomain);
 }
 BENCHMARK(BM_KendallHot_RankCache)
     ->Arg(1)
@@ -90,14 +79,8 @@ BENCHMARK(BM_KendallHot_RankCache)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_KendallHotWide_Legacy(benchmark::State& state) {
-  RunEstimator(state, kWideDomain, TauKernel::kLegacy, 1);
-}
-BENCHMARK(BM_KendallHotWide_Legacy)->Unit(benchmark::kMillisecond);
-
 void BM_KendallHotWide_RankCache(benchmark::State& state) {
-  RunEstimator(state, kWideDomain, TauKernel::kRankCache,
-               static_cast<int>(state.range(0)));
+  RunEstimator(state, kWideDomain);
 }
 BENCHMARK(BM_KendallHotWide_RankCache)
     ->Arg(1)

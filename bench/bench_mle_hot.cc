@@ -1,12 +1,10 @@
-// Hot-path benchmark for DPCopula-MLE estimation (Alg. 2): the legacy
-// per-partition Table::Zeros + PseudoObservations + NormalScores pipeline
-// against the batched production kernel (one rank sort per column shared by
-// all l partitions, one batched Phi^-1 per distinct value bin, flat
-// reusable workspaces, 256-row blocked correlation). Rows/sec is reported
-// via SetItemsProcessed so tools/bench_to_json extracts items_per_second
-// into BENCH_mle.json. The acceptance configuration is m = 10, N = 1M,
-// epsilon2 = 1 (the paper's rule picks l = 1800, b = 555), single thread:
-// the batched kernel must hold >= 3x the legacy kernel's rows/sec.
+// Hot-path benchmark for DPCopula-MLE estimation (Alg. 2) on the batched
+// kernel (one counting pass per column and partition, one batched Phi^-1
+// per distinct value bin, flat reusable workspaces, 256-row blocked
+// correlation). Rows/sec is reported via SetItemsProcessed so
+// tools/bench_to_json extracts items_per_second into BENCH_mle.json. The
+// acceptance configuration is m = 10, N = 1M, epsilon2 = 1 (the paper's
+// rule picks l = 1800, b = 555), single thread.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -24,7 +22,6 @@ namespace {
 using dpcopula::Rng;
 using dpcopula::copula::EstimateMleCorrelation;
 using dpcopula::copula::MleEstimatorOptions;
-using dpcopula::copula::MleKernel;
 
 constexpr std::size_t kRows = 1'000'000;
 constexpr std::size_t kDims = 10;
@@ -33,8 +30,7 @@ constexpr std::size_t kDims = 10;
 // rewrite pays off heavily. The common census-attribute case.
 constexpr std::int64_t kDomain = 64;
 // Wide fixture: 4096-value domains make most values distinct within a
-// 555-row partition — the worst case for run batching (one run per row)
-// and for the legacy per-partition histogram allocation.
+// 555-row partition — the worst case for run batching (one run per row).
 constexpr std::int64_t kWideDomain = 4096;
 
 /// m equicorrelated (rho = 0.4) Gaussian-shaped discrete marginals — the
@@ -60,12 +56,10 @@ const dpcopula::data::Table& Fixture(std::int64_t domain) {
   return domain == kDomain ? *discrete : *wide;
 }
 
-void RunEstimator(benchmark::State& state, std::int64_t domain,
-                  MleKernel kernel, int threads) {
+void RunEstimator(benchmark::State& state, std::int64_t domain) {
   const auto& table = Fixture(domain);
   MleEstimatorOptions options;
-  options.kernel = kernel;
-  options.num_threads = threads;
+  options.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Rng rng(7);
     auto est = EstimateMleCorrelation(table, 1.0, &rng, options);
@@ -76,14 +70,8 @@ void RunEstimator(benchmark::State& state, std::int64_t domain,
                           static_cast<std::int64_t>(kRows));
 }
 
-void BM_MleHot_Legacy(benchmark::State& state) {
-  RunEstimator(state, kDomain, MleKernel::kLegacy, 1);
-}
-BENCHMARK(BM_MleHot_Legacy)->Unit(benchmark::kMillisecond);
-
 void BM_MleHot_Batched(benchmark::State& state) {
-  RunEstimator(state, kDomain, MleKernel::kBatched,
-               static_cast<int>(state.range(0)));
+  RunEstimator(state, kDomain);
 }
 BENCHMARK(BM_MleHot_Batched)
     ->Arg(1)
@@ -91,14 +79,8 @@ BENCHMARK(BM_MleHot_Batched)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_MleHotWide_Legacy(benchmark::State& state) {
-  RunEstimator(state, kWideDomain, MleKernel::kLegacy, 1);
-}
-BENCHMARK(BM_MleHotWide_Legacy)->Unit(benchmark::kMillisecond);
-
 void BM_MleHotWide_Batched(benchmark::State& state) {
-  RunEstimator(state, kWideDomain, MleKernel::kBatched,
-               static_cast<int>(state.range(0)));
+  RunEstimator(state, kWideDomain);
 }
 BENCHMARK(BM_MleHotWide_Batched)
     ->Arg(1)
@@ -106,11 +88,10 @@ BENCHMARK(BM_MleHotWide_Batched)
     ->Unit(benchmark::kMillisecond);
 
 // Micro view of the phase-2 stage at the acceptance partition shape
-// (b = 555, m = 10): the blocked correlation against the reference
-// column-vector implementation on identical scores.
+// (b = 555, m = 10): the blocked packed correlation of one partition. The
+// row keeps its `tiled:1` name so its ledger history stays comparable.
 void BM_PartitionCorrelation(benchmark::State& state) {
   constexpr std::size_t kPartRows = 555;
-  const bool tiled = state.range(0) != 0;
   Rng rng(3);
   std::vector<std::vector<double>> scores(kDims,
                                           std::vector<double>(kPartRows));
@@ -120,20 +101,14 @@ void BM_PartitionCorrelation(benchmark::State& state) {
   std::vector<const double*> ptrs(kDims);
   for (std::size_t j = 0; j < kDims; ++j) ptrs[j] = scores[j].data();
   for (auto _ : state) {
-    if (tiled) {
-      auto corr = dpcopula::copula::NormalScoresCorrelationTiled(
-          ptrs.data(), kDims, kPartRows);
-      benchmark::DoNotOptimize(corr);
-    } else {
-      auto corr = dpcopula::copula::NormalScoresCorrelation(scores);
-      benchmark::DoNotOptimize(corr);
-    }
+    auto corr = dpcopula::copula::NormalScoresCorrelationTiledPacked(
+        ptrs.data(), kDims, kPartRows);
+    benchmark::DoNotOptimize(corr);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kPartRows));
 }
 BENCHMARK(BM_PartitionCorrelation)
-    ->Arg(0)
     ->Arg(1)
     ->ArgNames({"tiled"})
     ->Unit(benchmark::kMicrosecond);

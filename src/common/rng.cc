@@ -77,8 +77,8 @@ double Rng::NextDouble() {
 }
 
 double Rng::NextDoubleOpen() {
-  // (v + 1) in [1, 2^53], scaled into (0, 1].  Flip to (0, 1) by reflecting:
-  // use (v >> 11) + 0.5 ulp trick instead — simplest robust form:
+  // The top 52 bits as an integer k in [0, 2^52), shifted to the midpoint
+  // k + 0.5 and scaled by 2^-52: values in [2^-53, 1 - 2^-53], never 0 or 1.
   return (static_cast<double>(NextUint64() >> 12) + 0.5) * 0x1.0p-52;
 }
 
@@ -97,11 +97,6 @@ std::int64_t Rng::NextInt64InRange(std::int64_t lo, std::int64_t hi) {
 }
 
 double Rng::NextGaussian() {
-  return gaussian_method_ == GaussianMethod::kPolar ? NextGaussianPolar()
-                                                    : NextGaussianZiggurat();
-}
-
-double Rng::NextGaussianZiggurat() {
   const ZigguratTables& t = ZigTables();
   for (;;) {
     // One draw serves both: low 7 bits pick the layer, the top 53 bits make
@@ -131,35 +126,10 @@ double Rng::NextGaussianZiggurat() {
   }
 }
 
-double Rng::NextGaussianPolar() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
-  }
-  double u, v, s;
-  do {
-    u = 2.0 * NextDouble() - 1.0;
-    v = 2.0 * NextDouble() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  cached_gaussian_ = v * factor;
-  has_cached_gaussian_ = true;
-  return u * factor;
-}
-
 void Rng::FillGaussian(double* dst, std::size_t n) {
-  if (gaussian_method_ == GaussianMethod::kPolar) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = NextGaussianPolar();
-  } else {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = NextGaussianZiggurat();
-  }
+  for (std::size_t i = 0; i < n; ++i) dst[i] = NextGaussian();
 }
 
-Rng Rng::Split() {
-  Rng child(NextUint64() ^ 0xd1b54a32d192ed03ULL);
-  child.gaussian_method_ = gaussian_method_;
-  return child;
-}
+Rng Rng::Split() { return Rng(NextUint64() ^ 0xd1b54a32d192ed03ULL); }
 
 }  // namespace dpcopula

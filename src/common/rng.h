@@ -5,13 +5,6 @@
 
 namespace dpcopula {
 
-/// Which algorithm NextGaussian() uses. kZiggurat is the default serving
-/// path (one uniform draw + one table lookup in the ~98.6% common case);
-/// kPolar is the pre-ziggurat Marsaglia polar method, kept behind this flag
-/// so golden fixtures and old-vs-new equivalence tests can reproduce the
-/// legacy stream exactly.
-enum class GaussianMethod : std::uint8_t { kZiggurat, kPolar };
-
 /// Deterministic pseudo-random number generator: xoshiro256++ seeded through
 /// splitmix64. Fast, high quality, and reproducible across platforms, which
 /// matters for the experiment harness (every bench fixes its seed).
@@ -40,38 +33,22 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive, lo <= hi.
   std::int64_t NextInt64InRange(std::int64_t lo, std::int64_t hi);
 
-  /// Standard normal deviate via the configured method (ziggurat by
-  /// default; see set_gaussian_method()).
-  double NextGaussian();
-
   /// Standard normal deviate via the 128-layer ziggurat of Marsaglia &
   /// Tsang (Doornik's variant): one 64-bit draw serves both the layer
   /// index (low 7 bits) and the 53-bit uniform, so the common case is a
   /// single multiply + compare. Wedge and tail rejections draw more.
-  double NextGaussianZiggurat();
+  double NextGaussian();
 
-  /// Standard normal deviate via the legacy Marsaglia polar method with
-  /// caching (the pre-ziggurat stream).
-  double NextGaussianPolar();
-
-  /// Fills dst[0..n) with standard normal deviates using the configured
-  /// method; the block-sampling hot path for the tiled copula kernel.
+  /// Fills dst[0..n) with n successive NextGaussian() deviates; the
+  /// block-sampling hot path for the tiled copula kernel.
   void FillGaussian(double* dst, std::size_t n);
 
-  GaussianMethod gaussian_method() const { return gaussian_method_; }
-  void set_gaussian_method(GaussianMethod m) { gaussian_method_ = m; }
-
   /// Derives an independent child generator; useful for giving parallel
-  /// experiment arms decorrelated streams from one master seed. The child
-  /// inherits the parent's Gaussian method (so flag-gated legacy runs stay
-  /// legacy across RNG-split shards).
+  /// experiment arms decorrelated streams from one master seed.
   Rng Split();
 
  private:
   std::uint64_t s_[4];
-  double cached_gaussian_ = 0.0;
-  bool has_cached_gaussian_ = false;
-  GaussianMethod gaussian_method_ = GaussianMethod::kZiggurat;
 };
 
 }  // namespace dpcopula

@@ -80,47 +80,6 @@ Result<double> GaussianCopula::Aic(
   return 2.0 * num_params - 2.0 * ll;
 }
 
-Result<linalg::Matrix> NormalScoresCorrelation(
-    const std::vector<std::vector<double>>& scores) {
-  const std::size_t m = scores.size();
-  if (m == 0) return Status::InvalidArgument("no score columns");
-  const std::size_t n = scores[0].size();
-  if (n < 2) return Status::InvalidArgument("need >= 2 rows");
-  for (const auto& col : scores) {
-    if (col.size() != n) {
-      return Status::InvalidArgument("ragged score columns");
-    }
-  }
-
-  // Column means and centered second moments.
-  std::vector<double> mean(m, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    for (double v : scores[j]) mean[j] += v;
-    mean[j] /= static_cast<double>(n);
-  }
-  linalg::Matrix cov(m, m);
-  for (std::size_t a = 0; a < m; ++a) {
-    for (std::size_t b = a; b < m; ++b) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        acc += (scores[a][i] - mean[a]) * (scores[b][i] - mean[b]);
-      }
-      cov(a, b) = acc;
-      cov(b, a) = acc;
-    }
-  }
-  // Normalize to a correlation matrix.
-  linalg::Matrix corr(m, m);
-  for (std::size_t a = 0; a < m; ++a) {
-    for (std::size_t b = 0; b < m; ++b) {
-      const double denom = std::sqrt(cov(a, a) * cov(b, b));
-      corr(a, b) = (denom > 0.0) ? cov(a, b) / denom : (a == b ? 1.0 : 0.0);
-    }
-    corr(a, a) = 1.0;
-  }
-  return corr;
-}
-
 namespace {
 
 /// Tile height for the blocked correlation kernel. 256 rows x 8 bytes keeps
@@ -128,7 +87,8 @@ namespace {
 /// C(m,2)+m pair accumulations sweep it.
 constexpr std::size_t kCorrTileRows = 256;
 
-/// Grow-once scratch for NormalScoresCorrelationTiled; one per thread.
+/// Grow-once scratch for NormalScoresCorrelationTiledPacked; one per
+/// thread.
 struct CorrWorkspace {
   std::vector<double> centered;  // m x kCorrTileRows, column-major tiles.
   std::vector<double> acc;       // Packed upper triangle incl. diagonal.
@@ -137,17 +97,16 @@ struct CorrWorkspace {
   std::vector<std::uint32_t> pb;  // Packed index -> column b.
 };
 
-// Shared accumulation core of the tiled kernel: fills ws->mean and the
-// packed upper-triangle covariance accumulators ws->acc (pair p covers
-// columns ws->pa[p] <= ws->pb[p], a-major). Both public wrappers normalize
-// with the exact expressions of the reference implementation, so the
-// per-entry results are bit-identical regardless of the output layout.
-Status TiledCovarianceAccumulate(const double* const* cols, std::size_t m,
-                                 std::size_t n, CorrWorkspace* workspace) {
+}  // namespace
+
+Result<linalg::PackedSymmetric> NormalScoresCorrelationTiledPacked(
+    const double* const* cols, std::size_t m, std::size_t n) {
   if (m == 0) return Status::InvalidArgument("no score columns");
   if (n < 2) return Status::InvalidArgument("need >= 2 rows");
 
-  CorrWorkspace& ws = *workspace;
+  // Pair p of the packed upper-triangle accumulators covers columns
+  // ws.pa[p] <= ws.pb[p], a-major.
+  thread_local CorrWorkspace ws;
   ws.mean.assign(m, 0.0);
   ws.acc.assign(m * (m + 1) / 2, 0.0);
   ws.centered.resize(m * kCorrTileRows);
@@ -163,8 +122,7 @@ Status TiledCovarianceAccumulate(const double* const* cols, std::size_t m,
     }
   }
 
-  // Column means: one sequential pass per column in row order — the exact
-  // addition sequence of the reference implementation.
+  // Column means: one sequential pass per column in row order.
   for (std::size_t j = 0; j < m; ++j) {
     double s = 0.0;
     const double* c = cols[j];
@@ -174,8 +132,8 @@ Status TiledCovarianceAccumulate(const double* const* cols, std::size_t m,
 
   // Blocked syrk-style accumulation: center one tile of every column, then
   // run all pairs over the hot tile. Carrying each pair's scalar
-  // accumulator across tiles in row order reproduces the reference's
-  // per-pair sequential sum bit for bit.
+  // accumulator across tiles in row order keeps every pair's sum strictly
+  // sequential.
   for (std::size_t i0 = 0; i0 < n; i0 += kCorrTileRows) {
     const std::size_t tile = std::min(kCorrTileRows, n - i0);
     for (std::size_t j = 0; j < m; ++j) {
@@ -185,9 +143,8 @@ Status TiledCovarianceAccumulate(const double* const* cols, std::size_t m,
       for (std::size_t ii = 0; ii < tile; ++ii) dst[ii] = c[ii] - mu;
     }
     // Four pairs at a time: each pair keeps its own strictly sequential
-    // accumulation (bit-identical to the reference), but the four
-    // independent chains hide the FP-add latency that bounds a single
-    // running sum.
+    // accumulation, but the four independent chains hide the FP-add
+    // latency that bounds a single running sum.
     const std::size_t np = ws.acc.size();
     std::size_t p = 0;
     for (; p + 4 <= np; p += 4) {
@@ -223,54 +180,14 @@ Status TiledCovarianceAccumulate(const double* const* cols, std::size_t m,
     }
   }
 
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<linalg::Matrix> NormalScoresCorrelationTiled(const double* const* cols,
-                                                    std::size_t m,
-                                                    std::size_t n) {
-  thread_local CorrWorkspace ws;
-  Status accumulated = TiledCovarianceAccumulate(cols, m, n, &ws);
-  if (!accumulated.ok()) return accumulated;
-
-  linalg::Matrix cov(m, m);
-  {
-    std::size_t p = 0;
-    for (std::size_t a = 0; a < m; ++a) {
-      for (std::size_t b = a; b < m; ++b, ++p) {
-        cov(a, b) = ws.acc[p];
-        cov(b, a) = ws.acc[p];
-      }
-    }
-  }
-  // Normalize to a correlation matrix — same expressions as the reference.
-  linalg::Matrix corr(m, m);
-  for (std::size_t a = 0; a < m; ++a) {
-    for (std::size_t b = 0; b < m; ++b) {
-      const double denom = std::sqrt(cov(a, a) * cov(b, b));
-      corr(a, b) = (denom > 0.0) ? cov(a, b) / denom : (a == b ? 1.0 : 0.0);
-    }
-    corr(a, a) = 1.0;
-  }
-  return corr;
-}
-
-Result<linalg::PackedSymmetric> NormalScoresCorrelationTiledPacked(
-    const double* const* cols, std::size_t m, std::size_t n) {
-  thread_local CorrWorkspace ws;
-  Status accumulated = TiledCovarianceAccumulate(cols, m, n, &ws);
-  if (!accumulated.ok()) return accumulated;
-
   // Diagonal covariance entries: pair (a, a) sits at the head of column
   // a's run in the a-major packed upper triangle.
   std::vector<double> cov_diag(m);
   for (std::size_t a = 0; a < m; ++a) {
     cov_diag[a] = ws.acc[a * m - a * (a - 1) / 2];
   }
-  // Normalize straight into packed storage — one store per coefficient,
-  // same expressions (and bits) as the dense wrapper above.
+  // Normalize straight into packed storage — one store per coefficient. A
+  // zero-variance column gets zero off-diagonal correlations.
   linalg::PackedSymmetric corr(m);
   std::size_t p = 0;
   for (std::size_t a = 0; a < m; ++a) {

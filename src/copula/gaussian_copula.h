@@ -49,29 +49,16 @@ class GaussianCopula {
 /// the stationary point of the Gaussian-copula log-likelihood under the
 /// unit-diagonal constraint and the estimator used per partition by
 /// DPCopula-MLE (see DESIGN.md §3, substitution 5).
-/// `scores[j]` is the j-th column's normal scores; all columns must share a
-/// common positive length.
-Result<linalg::Matrix> NormalScoresCorrelation(
-    const std::vector<std::vector<double>>& scores);
-
-/// The same estimator over raw column pointers — `cols[j]` points at `n`
-/// contiguous scores — blocked over 256-row tiles so all C(m,2)+m pair
-/// accumulations read each tile while it is still cache-hot, instead of
-/// streaming two full columns per pair. Each pair's accumulator is carried
-/// across tiles in row order, so the sequence of floating-point additions
-/// (and therefore the result) is bit-identical to NormalScoresCorrelation
-/// on the same data. Reuses a thread_local workspace: no allocations after
-/// the first call on a thread beyond the returned matrix.
-Result<linalg::Matrix> NormalScoresCorrelationTiled(const double* const* cols,
-                                                    std::size_t m,
-                                                    std::size_t n);
-
-/// The tiled estimator emitting packed lower-triangular storage directly —
-/// the kernel's pair accumulators are already one-per-coefficient, so the
-/// packed form halves the output memory traffic (no mirror writes). Entry
-/// for entry bit-identical to NormalScoresCorrelationTiled (and therefore
-/// to NormalScoresCorrelation) on the same data; used by the MLE
-/// estimator's partition-fit averaging.
+///
+/// `cols[j]` points at the j-th column's `n` contiguous scores (m >= 1,
+/// n >= 2). Rows are processed in 256-row tiles so all C(m,2)+m pair
+/// accumulations read each tile while it is still cache-hot; each pair's
+/// accumulator is carried across tiles in row order, so every coefficient
+/// is the plain sequential sum (the column-vector oracle in
+/// tests/reference/mle_reference.h gives the same bits). The result is
+/// packed lower-triangular storage, one entry per coefficient. Reuses a
+/// thread_local workspace: no allocations after the first call on a thread
+/// beyond the returned matrix.
 Result<linalg::PackedSymmetric> NormalScoresCorrelationTiledPacked(
     const double* const* cols, std::size_t m, std::size_t n);
 

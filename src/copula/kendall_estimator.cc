@@ -138,14 +138,12 @@ Result<KendallEstimate> EstimateKendallCorrelation(
     }
   }
 
-  // Shared per-column rank caches (production kernel): one O(n log n) sort
-  // per column, reused by all m-1 pairs touching it — O(m n log n) total
-  // against the legacy kernel's sort-per-pair O(m^2 n log n). Columns are
-  // independent, so the builds run on the pool.
-  std::vector<stats::RankColumn> ranks;
-  if (options.kernel == stats::TauKernel::kRankCache) {
+  // Shared per-column rank caches: one O(n log n) sort per column, reused
+  // by all m-1 pairs touching it — O(m n log n) total instead of a sort per
+  // pair. Columns are independent, so the builds run on the pool.
+  std::vector<stats::RankColumn> ranks(m);
+  {
     obs::Span rank_span("kendall.rank_build");
-    ranks.resize(m);
     FirstFailure rank_failure;
     ParallelFor(
         0, m, /*grain=*/1,
@@ -190,13 +188,11 @@ Result<KendallEstimate> EstimateKendallCorrelation(
   // lowest-index pair's — is the same at every thread count.
   std::vector<double> rhos(pairs.size(), 0.0);
   std::int64_t contingency_pairs = 0;
-  if (options.kernel == stats::TauKernel::kRankCache) {
-    for (const Pair& pair : pairs) {
-      if (stats::UseContingencyKernel(
-              static_cast<std::uint64_t>(n_used),
-              ranks[pair.j].num_distinct, ranks[pair.k].num_distinct)) {
-        ++contingency_pairs;
-      }
+  for (const Pair& pair : pairs) {
+    if (stats::UseContingencyKernel(static_cast<std::uint64_t>(n_used),
+                                    ranks[pair.j].num_distinct,
+                                    ranks[pair.k].num_distinct)) {
+      ++contingency_pairs;
     }
   }
   FirstFailure pair_failure;
@@ -214,11 +210,8 @@ Result<KendallEstimate> EstimateKendallCorrelation(
             return DPC_FAILPOINT_AT("kendall.pair_tau", i)
                        ? Result<double>(
                              failpoint::InjectedFault("kendall.pair_tau"))
-                       : (options.kernel == stats::TauKernel::kRankCache
-                              ? stats::KendallTauFromRanks(
-                                    ranks[pair.j], ranks[pair.k], &workspace)
-                              : stats::KendallTau(*cols[pair.j],
-                                                  *cols[pair.k]));
+                       : stats::KendallTauFromRanks(ranks[pair.j],
+                                                    ranks[pair.k], &workspace);
           }();
           if (!tau.ok()) {
             pair_failure.Record(i, tau.status());
@@ -257,7 +250,6 @@ Result<KendallEstimate> EstimateKendallCorrelation(
     obs::Span repair_span("psd_repair");
     if (est.repaired) repairs_counter->Increment();
     linalg::PsdRepairOptions repair_options;
-    repair_options.eigen_kernel = options.eigen_kernel;
     repair_options.num_threads = options.num_threads;
     DPC_ASSIGN_OR_RETURN(est.correlation,
                          linalg::EnsureCorrelationMatrix(p, repair_options));

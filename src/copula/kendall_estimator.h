@@ -6,9 +6,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "data/table.h"
-#include "linalg/eigen_sym.h"
 #include "linalg/matrix.h"
-#include "stats/kendall.h"
 
 namespace dpcopula::copula {
 
@@ -29,20 +27,6 @@ struct KendallEstimatorOptions {
   /// index, so results are bit-identical regardless of thread count. 0 =
   /// hardware concurrency, <= 1 = sequential.
   int num_threads = 1;
-
-  /// Which pairwise tau kernel to run. kRankCache (production) builds one
-  /// rank structure per column — O(m n log n) total — and serves every
-  /// pair from the shared caches; kLegacy re-sorts per pair (O(m^2
-  /// n log n)) and is kept for old-vs-new equivalence tests. Both produce
-  /// bit-identical noisy output (the exact taus and the per-pair noise
-  /// streams agree).
-  stats::TauKernel kernel = stats::TauKernel::kRankCache;
-
-  /// Eigensolver kernel for the PSD-repair step (see linalg::EigenKernel).
-  /// kTridiagQL is the high-dimension production path; kJacobi is the
-  /// verbatim legacy solver kept for agreement tests. The repair also
-  /// inherits `num_threads` above.
-  linalg::EigenKernel eigen_kernel = linalg::EigenKernel::kTridiagQL;
 };
 
 /// Diagnostics reported alongside the private correlation matrix.
@@ -53,20 +37,25 @@ struct KendallEstimate {
   double laplace_scale = 0.0;     // Noise scale applied to each tau.
   bool repaired = false;          // True if eigenvalue PSD repair fired.
   /// Pairs served by the contingency-table kernel (the rest took the
-  /// merge-count path). Always 0 under TauKernel::kLegacy.
+  /// merge-count path).
   std::int64_t contingency_pairs = 0;
 };
 
 /// Computes the differentially private correlation matrix of Algorithm 5:
-/// noisy pairwise Kendall's tau (sensitivity 4/(n+1), Lemma 4.1), the
-/// sin(pi/2 * tau) transform (Eq. 4), and the Rousseeuw–Molenberghs
-/// eigenvalue repair when the noisy matrix is not positive definite.
-/// Consumes `epsilon2` in total across all C(m,2) coefficients.
+/// noisy pairwise Kendall's tau (sensitivity 4/(n+1), Lemma 4.1) from one
+/// rank structure per column shared by every pair (see
+/// stats::KendallTauFromRanks), the sin(pi/2 * tau) transform (Eq. 4), and
+/// the Rousseeuw–Molenberghs eigenvalue repair when the noisy matrix is not
+/// positive definite. Consumes `epsilon2` in total across all C(m,2)
+/// coefficients.
 Result<KendallEstimate> EstimateKendallCorrelation(
     const data::Table& table, double epsilon2, Rng* rng,
     const KendallEstimatorOptions& options = {});
 
-/// The paper's adequate subsample size: ceil(50 m (m-1) / epsilon2).
+/// The paper's adequate subsample size: the smallest integer strictly
+/// greater than 50 m (m-1) / epsilon2 - 1 (one less than
+/// ceil(50 m (m-1) / epsilon2) whenever that bound is not an integer).
+/// Saturates at INT64_MAX.
 std::int64_t AdequateKendallSampleSize(std::size_t m, double epsilon2);
 
 }  // namespace dpcopula::copula

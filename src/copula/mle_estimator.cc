@@ -11,7 +11,6 @@
 #include "common/failpoint.h"
 #include "common/parallel.h"
 #include "copula/gaussian_copula.h"
-#include "copula/pseudo_obs.h"
 #include "linalg/cholesky.h"
 #include "linalg/packed_symmetric.h"
 #include "linalg/psd_repair.h"
@@ -88,9 +87,10 @@ std::int64_t LlroundFast(double v) {
   return k;
 }
 
-/// Per-partition failure word: the smallest (column, kind) code wins so the
-/// reported status matches kLegacy, where PseudoObservations surfaces the
-/// first failing column. kind 0 = bad domain_size, 1 = value out of range.
+/// Per-partition failure word: the smallest (column, kind) code wins, so a
+/// partition with several bad columns reports the same status at every
+/// thread count, whichever column's pass records first. kind 0 = bad
+/// domain_size, 1 = value out of range.
 constexpr std::int64_t kPartitionOk = std::numeric_limits<std::int64_t>::max();
 
 void RecordPartitionFailure(std::atomic<std::int64_t>& state,
@@ -102,8 +102,7 @@ void RecordPartitionFailure(std::atomic<std::int64_t>& state,
 }
 
 Status PartitionFailureStatus(std::int64_t code) {
-  // Messages mirror EmpiricalCdf::FromData, which is what fails under
-  // kLegacy.
+  // The messages EmpiricalCdf::FromData gives for the same defects.
   if (code % 2 == 0) {
     return Status::InvalidArgument("EmpiricalCdf: domain_size must be > 0");
   }
@@ -132,7 +131,7 @@ Status BuildColumnScores(const std::vector<double>& col, std::int64_t domain,
                          std::vector<std::atomic<std::int64_t>>& part_fail) {
   const auto rows_used = static_cast<std::size_t>(l * b);
   if (domain <= 0) {
-    // kLegacy: every partition's FromData fails before scanning values.
+    // Fails every partition before any value is scanned.
     const auto code = static_cast<std::int64_t>(j) * 2;
     for (auto& state : part_fail) RecordPartitionFailure(state, code);
     return Status::OK();
@@ -384,117 +383,69 @@ Result<MleEstimate> EstimateMleCorrelation(const data::Table& table,
   std::vector<Result<linalg::PackedSymmetric>> fits(
       static_cast<std::size_t>(l),
       Result<linalg::PackedSymmetric>(Status::Internal("partition not fitted")));
-  std::vector<double> scores;  // kBatched: column-major normal scores.
-
-  if (options.kernel == MleKernel::kLegacy) {
+  // Phase 1 (per column): a counting pass per partition block derives the
+  // pseudo-observations from histogram prefix sums, batched Phi^-1 per
+  // distinct value bin, normal scores written into a flat column-major
+  // buffer. Phase 2 (per partition): blocked correlation over zero-copy
+  // column slices. Both phases are deterministic for any thread count.
+  const auto rows_used = static_cast<std::size_t>(l * b);
+  std::vector<double> scores(m * rows_used);
+  std::vector<std::atomic<std::int64_t>> part_fail(
+      static_cast<std::size_t>(l));
+  for (auto& state : part_fail) {
+    state.store(kPartitionOk, std::memory_order_relaxed);
+  }
+  std::vector<Status> col_status(m, Status::OK());
+  {
+    obs::Span pseudo_span("mle.pseudo_obs", estimate_span_id);
     ParallelFor(
-        0, static_cast<std::size_t>(l), /*grain=*/1,
+        0, m, /*grain=*/1,
         [&](std::size_t begin, std::size_t end) {
-          for (std::size_t ti = begin; ti < end; ++ti) {
-            obs::Span fit_span(
-                "mle.partition_fit[" + std::to_string(ti) + "]",
-                estimate_span_id);
-            obs::ScopedTimer fit_timer(fit_seconds);
-            obs::StageScope fit_stage(obs::Stage::kMlePartitionFit);
-            if (DPC_FAILPOINT_AT("mle.partition_fit", ti)) {
-              fits[ti] = failpoint::InjectedFault("mle.partition_fit");
-              continue;
-            }
-            const auto t = static_cast<std::int64_t>(ti);
-            // Slice rows [t*b, (t+1)*b) of each column.
-            data::Table part = data::Table::Zeros(
-                table.schema(), static_cast<std::size_t>(b));
-            for (std::size_t j = 0; j < m; ++j) {
-              const auto& col = table.column(j);
-              auto& dst = part.mutable_column(j);
-              for (std::int64_t i = 0; i < b; ++i) {
-                dst[static_cast<std::size_t>(i)] =
-                    col[static_cast<std::size_t>(t * b + i)];
-              }
-            }
-            auto pseudo = PseudoObservations(part);
-            if (!pseudo.ok()) {
-              fits[ti] = pseudo.status();
-              continue;
-            }
-            const auto scores_l = NormalScores(*pseudo);
-            Result<linalg::Matrix> fit = NormalScoresCorrelation(scores_l);
-            fits[ti] =
-                fit.ok() ? Result<linalg::PackedSymmetric>(
-                               linalg::PackedSymmetric::FromLowerTriangleOf(
-                                   *fit))
-                         : Result<linalg::PackedSymmetric>(fit.status());
-          }
-        },
-        options.num_threads);
-  } else {
-    // Batched kernel. Phase 1 (per column): a counting pass per partition
-    // block derives the pseudo-observations from histogram prefix sums,
-    // batched Phi^-1 per distinct value bin, normal scores written into a
-    // flat column-major buffer. Phase 2 (per partition): blocked
-    // correlation over zero-copy column slices. Both phases are
-    // deterministic for any thread count, and the failpoint/failure
-    // semantics mirror the legacy loop (see MleKernel).
-    const auto rows_used = static_cast<std::size_t>(l * b);
-    scores.resize(m * rows_used);
-    std::vector<std::atomic<std::int64_t>> part_fail(
-        static_cast<std::size_t>(l));
-    for (auto& state : part_fail) {
-      state.store(kPartitionOk, std::memory_order_relaxed);
-    }
-    std::vector<Status> col_status(m, Status::OK());
-    {
-      obs::Span pseudo_span("mle.pseudo_obs", estimate_span_id);
-      ParallelFor(
-          0, m, /*grain=*/1,
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t j = begin; j < end; ++j) {
-              col_status[j] = BuildColumnScores(
-                  table.column(j), table.schema().attribute(j).domain_size,
-                  l, b, j, scores.data() + j * rows_used, part_fail);
-            }
-          },
-          options.num_threads);
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      // Whole-estimate failure (non-finite or oversized column): nothing
-      // rank-based can be computed. Deterministic: first column wins.
-      if (!col_status[j].ok()) return col_status[j];
-    }
-
-    ParallelFor(
-        0, static_cast<std::size_t>(l), /*grain=*/1,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t ti = begin; ti < end; ++ti) {
-            obs::Span fit_span(
-                "mle.partition_fit[" + std::to_string(ti) + "]",
-                estimate_span_id);
-            obs::ScopedTimer fit_timer(fit_seconds);
-            obs::StageScope fit_stage(obs::Stage::kMlePartitionFit);
-            // Failpoint first — the legacy loop injects before any
-            // per-partition work, so an armed fault shadows a data error.
-            if (DPC_FAILPOINT_AT("mle.partition_fit", ti)) {
-              fits[ti] = failpoint::InjectedFault("mle.partition_fit");
-              continue;
-            }
-            const std::int64_t code = part_fail[ti].load(
-                std::memory_order_relaxed);
-            if (code != kPartitionOk) {
-              fits[ti] = PartitionFailureStatus(code);
-              continue;
-            }
-            thread_local std::vector<const double*> ptrs;
-            ptrs.resize(m);
-            for (std::size_t j = 0; j < m; ++j) {
-              ptrs[j] = scores.data() + j * rows_used +
-                        ti * static_cast<std::size_t>(b);
-            }
-            fits[ti] = NormalScoresCorrelationTiledPacked(
-                ptrs.data(), m, static_cast<std::size_t>(b));
+          for (std::size_t j = begin; j < end; ++j) {
+            col_status[j] = BuildColumnScores(
+                table.column(j), table.schema().attribute(j).domain_size, l,
+                b, j, scores.data() + j * rows_used, part_fail);
           }
         },
         options.num_threads);
   }
+  for (std::size_t j = 0; j < m; ++j) {
+    // Whole-estimate failure (non-finite or oversized column): nothing
+    // rank-based can be computed. Deterministic: first column wins.
+    if (!col_status[j].ok()) return col_status[j];
+  }
+
+  ParallelFor(
+      0, static_cast<std::size_t>(l), /*grain=*/1,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t ti = begin; ti < end; ++ti) {
+          obs::Span fit_span("mle.partition_fit[" + std::to_string(ti) + "]",
+                             estimate_span_id);
+          obs::ScopedTimer fit_timer(fit_seconds);
+          obs::StageScope fit_stage(obs::Stage::kMlePartitionFit);
+          // Failpoint first, before the partition's data status: an armed
+          // fault shadows a data error, the same way at every thread count.
+          if (DPC_FAILPOINT_AT("mle.partition_fit", ti)) {
+            fits[ti] = failpoint::InjectedFault("mle.partition_fit");
+            continue;
+          }
+          const std::int64_t code =
+              part_fail[ti].load(std::memory_order_relaxed);
+          if (code != kPartitionOk) {
+            fits[ti] = PartitionFailureStatus(code);
+            continue;
+          }
+          thread_local std::vector<const double*> ptrs;
+          ptrs.resize(m);
+          for (std::size_t j = 0; j < m; ++j) {
+            ptrs[j] = scores.data() + j * rows_used +
+                      ti * static_cast<std::size_t>(b);
+          }
+          fits[ti] = NormalScoresCorrelationTiledPacked(
+              ptrs.data(), m, static_cast<std::size_t>(b));
+        }
+      },
+      options.num_threads);
 
   // Degradation policy: average the surviving fits (in partition order, for
   // thread-count determinism). A record lives in exactly one partition, so
@@ -561,7 +512,6 @@ Result<MleEstimate> EstimateMleCorrelation(const data::Table& table,
     obs::Span repair_span("psd_repair");
     if (est.repaired) repairs_counter->Increment();
     linalg::PsdRepairOptions repair_options;
-    repair_options.eigen_kernel = options.eigen_kernel;
     repair_options.num_threads = options.num_threads;
     DPC_ASSIGN_OR_RETURN(est.correlation,
                          linalg::EnsureCorrelationMatrix(p, repair_options));

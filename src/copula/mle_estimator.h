@@ -6,40 +6,9 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "data/table.h"
-#include "linalg/eigen_sym.h"
 #include "linalg/matrix.h"
 
 namespace dpcopula::copula {
-
-/// Which partition-fit kernel EstimateMleCorrelation runs (mirrors
-/// stats::TauKernel).
-///
-/// kBatched is the production path: each partition's rows are a contiguous
-/// block, so pseudo-observations come from a per-partition counting pass —
-/// bucket the block's values by llround bin, prefix-sum the histogram, and
-/// evaluate Phi^-1 once per distinct bin through the batch kernel instead
-/// of once per row. Domains too large for a dense histogram switch to a
-/// sorted sparse variant whose cost is O(b log b) per partition,
-/// independent of the domain size (kLegacy allocates a domain-sized
-/// histogram per partition per column). Normal scores land in a flat
-/// column-major buffer sliced zero-copy per partition, and the
-/// per-partition correlation runs as a 256-row blocked accumulation. The
-/// released noisy matrix is bit-identical to kLegacy on the same data, for
-/// any thread count.
-///
-/// kLegacy is the original per-partition Table::Zeros + PseudoObservations
-/// + NormalScores pipeline, kept verbatim as the reference implementation
-/// for old-vs-new equivalence tests.
-///
-/// Two documented kBatched divergences (failure behavior only, never the
-/// released matrix): a non-finite value anywhere in a column — including
-/// the dropped n mod l remainder rows — fails the whole estimate up front
-/// (under kLegacy a NaN reaches std::llround, which is UB), and partitions
-/// longer than uint32 can index are rejected.
-enum class MleKernel {
-  kBatched,
-  kLegacy,
-};
 
 /// Options for the DP MLE correlation estimator (Algorithm 2 — Dwork &
 /// Smith sample-and-aggregate).
@@ -68,16 +37,6 @@ struct MleEstimatorOptions {
   /// partitions is still charged — never refunded. 0 (default) keeps the
   /// strict behavior: any partition failure fails the estimate.
   std::int64_t max_failed_partitions = 0;
-
-  /// Partition-fit kernel; both produce bit-identical released matrices on
-  /// the same data (see MleKernel).
-  MleKernel kernel = MleKernel::kBatched;
-
-  /// Eigensolver kernel for the PSD-repair step (see linalg::EigenKernel).
-  /// kTridiagQL is the high-dimension production path; kJacobi is the
-  /// verbatim legacy solver kept for agreement tests. The repair also
-  /// inherits `num_threads` above.
-  linalg::EigenKernel eigen_kernel = linalg::EigenKernel::kTridiagQL;
 };
 
 /// Diagnostics reported alongside the private correlation matrix.
@@ -103,6 +62,23 @@ struct MleEstimate {
 /// correlation coefficient's space. Parallel composition over the disjoint
 /// partitions plus sequential composition over coefficients gives
 /// epsilon2-DP.
+///
+/// Each partition's rows are a contiguous block, so its pseudo-observations
+/// come from a counting pass: bucket the block's values by llround bin,
+/// prefix-sum the histogram, and evaluate Phi^-1 once per distinct bin
+/// through the batch kernel. Domains too large for a dense histogram take a
+/// sorted sparse variant whose cost is O(b log b) per partition,
+/// independent of the domain size. Normal scores land in a flat
+/// column-major buffer sliced zero-copy per partition, and each partition's
+/// correlation runs as a 256-row blocked accumulation
+/// (NormalScoresCorrelationTiledPacked). The released matrix is
+/// bit-identical for any thread count.
+///
+/// A non-finite value anywhere in a column, including the dropped n mod l
+/// remainder rows, fails the whole estimate up front, and partitions longer
+/// than uint32 can index are rejected. An out-of-domain value fails only its
+/// own partition, with EmpiricalCdf::FromData's message for its column; see
+/// `max_failed_partitions` for what a failed partition costs.
 Result<MleEstimate> EstimateMleCorrelation(
     const data::Table& table, double epsilon2, Rng* rng,
     const MleEstimatorOptions& options = {});

@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "stats/normal.h"
-
 namespace dpcopula::copula {
 
 Result<std::vector<std::vector<double>>> PseudoObservations(
@@ -50,18 +48,6 @@ Result<std::vector<std::vector<double>>> PseudoObservationsWithCdfs(
     }
   }
   return pseudo;
-}
-
-std::vector<std::vector<double>> NormalScores(
-    const std::vector<std::vector<double>>& pseudo) {
-  std::vector<std::vector<double>> z(pseudo.size());
-  for (std::size_t j = 0; j < pseudo.size(); ++j) {
-    z[j].resize(pseudo[j].size());
-    for (std::size_t i = 0; i < pseudo[j].size(); ++i) {
-      z[j][i] = stats::NormalInverseCdf(pseudo[j][i]);
-    }
-  }
-  return z;
 }
 
 }  // namespace dpcopula::copula

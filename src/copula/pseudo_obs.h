@@ -21,10 +21,6 @@ Result<std::vector<std::vector<double>>> PseudoObservations(
 Result<std::vector<std::vector<double>>> PseudoObservationsWithCdfs(
     const data::Table& table, const std::vector<stats::EmpiricalCdf>& cdfs);
 
-/// Normal scores: z[j][i] = Phi^{-1}(u[j][i]) for pseudo-observations u.
-std::vector<std::vector<double>> NormalScores(
-    const std::vector<std::vector<double>>& pseudo);
-
 }  // namespace dpcopula::copula
 
 #endif  // DPCOPULA_COPULA_PSEUDO_OBS_H_

@@ -8,26 +8,6 @@
 
 namespace dpcopula::linalg {
 
-namespace {
-
-// Sum of squared off-diagonal magnitudes; the Jacobi convergence criterion.
-double OffDiagonalNorm(const Matrix& d) {
-  const std::size_t n = d.rows();
-  double off = 0.0;
-  for (std::size_t p = 0; p < n; ++p)
-    for (std::size_t q = p + 1; q < n; ++q) off += d(p, q) * d(p, q);
-  return std::sqrt(off);
-}
-
-double FrobeniusNorm(const Matrix& a) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) acc += a(i, j) * a(i, j);
-  return std::sqrt(acc);
-}
-
-}  // namespace
-
 namespace internal {
 
 void SortEigenpairsDescending(EigenDecomposition* ed) {
@@ -48,76 +28,6 @@ void SortEigenpairsDescending(EigenDecomposition* ed) {
   ed->vectors = std::move(sorted_vectors);
 }
 
-Result<EigenDecomposition> EigenSymJacobi(const Matrix& a, int max_sweeps,
-                                          double tol) {
-  const std::size_t n = a.rows();
-  Matrix d = a;  // Will be driven to diagonal form.
-  Matrix v = Matrix::Identity(n);
-  // Convergence is declared when the off-diagonal mass is small *relative*
-  // to the matrix itself. (The pre-PR-9 absolute test `<= tol` stopped
-  // scaling with the input: at m >~ 100 the initial off-diagonal norm is
-  // O(m) and round-off alone floors near eps * ||A||_F, so badly scaled
-  // input burned the whole sweep budget and failed spuriously.)
-  const double threshold = tol * FrobeniusNorm(a);
-
-  bool converged = false;
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    if (OffDiagonalNorm(d) <= threshold) {
-      converged = true;
-      break;
-    }
-
-    for (std::size_t p = 0; p < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = d(p, q);
-        if (std::fabs(apq) < 1e-300) continue;
-        const double app = d(p, p);
-        const double aqq = d(q, q);
-        // Stable Jacobi rotation parameters.
-        const double theta = (aqq - app) / (2.0 * apq);
-        const double t =
-            (theta >= 0.0 ? 1.0 : -1.0) /
-            (std::fabs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-
-        for (std::size_t k = 0; k < n; ++k) {
-          const double dkp = d(k, p);
-          const double dkq = d(k, q);
-          d(k, p) = c * dkp - s * dkq;
-          d(k, q) = s * dkp + c * dkq;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double dpk = d(p, k);
-          const double dqk = d(q, k);
-          d(p, k) = c * dpk - s * dqk;
-          d(q, k) = s * dpk + c * dqk;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
-      }
-    }
-  }
-  // The loop tests convergence *before* each sweep, so after exhausting
-  // max_sweeps the final sweep's result still needs checking.
-  if (!converged && OffDiagonalNorm(d) > threshold) {
-    return Status::NumericalError(
-        "EigenSym did not converge within " + std::to_string(max_sweeps) +
-        " Jacobi sweeps");
-  }
-
-  EigenDecomposition ed;
-  ed.values.resize(n);
-  for (std::size_t i = 0; i < n; ++i) ed.values[i] = d(i, i);
-  ed.vectors = std::move(v);
-  SortEigenpairsDescending(&ed);
-  return ed;
-}
-
 }  // namespace internal
 
 Result<EigenDecomposition> EigenSym(const Matrix& a,
@@ -131,24 +41,11 @@ Result<EigenDecomposition> EigenSym(const Matrix& a,
   // This site simulates the iteration budget running out, so it surfaces as
   // the same NumericalError real non-convergence produces — that is what
   // lets the fault exercise callers' retry policies (psd_repair shrinkage).
-  // Both kernels share the site: flipping EigenKernel never changes which
-  // faults can fire.
   if (DPC_FAILPOINT("linalg.eigen.converge")) {
     return Status::NumericalError(
         "injected fault at fail point 'linalg.eigen.converge'");
   }
-  return options.kernel == EigenKernel::kJacobi
-             ? internal::EigenSymJacobi(a, options.max_sweeps, options.tol)
-             : internal::EigenSymTridiagQL(a, options);
-}
-
-Result<EigenDecomposition> EigenSym(const Matrix& a, int max_sweeps,
-                                    double tol) {
-  EigenSymOptions options;
-  options.kernel = EigenKernel::kJacobi;
-  options.max_sweeps = max_sweeps;
-  options.tol = tol;
-  return EigenSym(a, options);
+  return internal::EigenSymTridiagQL(a, options);
 }
 
 Matrix EigenReconstruct(const EigenDecomposition& ed) {

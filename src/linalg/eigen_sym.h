@@ -16,36 +16,19 @@ struct EigenDecomposition {
   Matrix vectors;
 };
 
-/// Which symmetric eigensolver kernel EigenSym runs (the PR 4/5/6 kernel
-/// pattern: production kernel plus the verbatim legacy one for old-vs-new
-/// agreement tests).
-enum class EigenKernel {
-  /// Two-stage solver: Householder tridiagonalization followed by
-  /// implicit-shift QL with eigenvector accumulation. O(n^3) total with a
-  /// small constant — the high-dimension (m = 100-500) production path.
-  /// The Householder update loops run on the shared pool with
-  /// bit-identical results for any thread count.
-  kTridiagQL,
-  /// Cyclic Jacobi sweeps (the pre-PR-9 solver): O(n^3) *per sweep* with
-  /// full-matrix rotation updates. Kept verbatim for agreement tests and
-  /// small-m fallback.
-  kJacobi,
-};
-
+/// Options for the two-stage symmetric eigensolver: Householder
+/// tridiagonalization followed by implicit-shift QL with eigenvector
+/// accumulation. O(n^3) total with a small constant — sized for the
+/// high-dimension (m = 100-500) correlation matrices of the estimators.
 struct EigenSymOptions {
-  EigenKernel kernel = EigenKernel::kTridiagQL;
-  /// Sweep budget (kJacobi only).
-  int max_sweeps = 64;
-  /// Implicit-shift budget per eigenvalue (kTridiagQL only).
+  /// Implicit-shift budget per eigenvalue.
   int max_ql_iterations = 48;
-  /// Convergence tolerance, *relative* to ||A||_F. (Pre-PR-9 this was an
-  /// absolute threshold, which at m >~ 100 — initial off-diagonal norm
-  /// O(m) — declared convergence far too late or, for badly scaled input,
-  /// never.)
+  /// QL deflation threshold: a subdiagonal entry e[m] is treated as zero
+  /// once |e[m]| <= tol * (|d[m]| + |d[m+1]|), i.e. relative to its two
+  /// diagonal neighbours. Values below machine epsilon are raised to it.
   double tol = 1e-13;
-  /// Threads for the Householder update loops (kTridiagQL only);
-  /// 0 = hardware concurrency, <= 1 sequential. The shard decomposition
-  /// never changes a released bit.
+  /// Threads for the Householder update loops; 0 = hardware concurrency,
+  /// <= 1 sequential. The shard decomposition never changes a released bit.
   int num_threads = 1;
 };
 
@@ -57,18 +40,12 @@ struct EigenSymOptions {
 Result<EigenDecomposition> EigenSym(const Matrix& a,
                                     const EigenSymOptions& options = {});
 
-/// Legacy entry point, pinned to the Jacobi kernel (callers passing an
-/// explicit sweep budget predate EigenSymOptions). `tol` is relative to
-/// ||A||_F.
-Result<EigenDecomposition> EigenSym(const Matrix& a, int max_sweeps,
-                                    double tol = 1e-13);
-
 /// Reconstructs V diag(values) V^T — used by tests and the PSD repair.
 Matrix EigenReconstruct(const EigenDecomposition& ed);
 
 namespace internal {
 
-/// Stage 1 of kTridiagQL: Householder reduction of the symmetric matrix in
+/// Stage 1 of EigenSym: Householder reduction of the symmetric matrix in
 /// `*z` to tridiagonal form. On return `*d` holds the diagonal, `*e` the
 /// subdiagonal in e[1..n-1] (e[0] = 0), and `*z` the accumulated orthogonal
 /// transform Q with A = Q T Q^T. Reads/updates only the lower triangle of
@@ -78,7 +55,7 @@ namespace internal {
 void HouseholderTridiagonalize(Matrix* z, std::vector<double>* d,
                                std::vector<double>* e, int num_threads);
 
-/// Stage 2 of kTridiagQL: implicit-shift QL on the tridiagonal (d, e) with
+/// Stage 2 of EigenSym: implicit-shift QL on the tridiagonal (d, e) with
 /// the rotations accumulated into the columns of `*z`. On success `*d`
 /// holds the (unsorted) eigenvalues and column k of `*z` the eigenvector
 /// for d[k]. `rel_tol` is the deflation threshold relative to the local
@@ -88,12 +65,10 @@ Status TridiagQL(std::vector<double>* d, std::vector<double>* e, Matrix* z,
                  int max_iterations, double rel_tol);
 
 /// Sorts (values[k], column k of vectors) pairs by descending eigenvalue —
-/// the output convention both kernels share.
+/// EigenSym's output convention.
 void SortEigenpairsDescending(EigenDecomposition* ed);
 
-/// Kernel bodies (input already validated, failpoint already consulted).
-Result<EigenDecomposition> EigenSymJacobi(const Matrix& a, int max_sweeps,
-                                          double tol);
+/// EigenSym's body (input already validated, failpoint already consulted).
 Result<EigenDecomposition> EigenSymTridiagQL(const Matrix& a,
                                              const EigenSymOptions& options);
 

@@ -1,4 +1,4 @@
-// Stage-1/stage-2 implementation of EigenKernel::kTridiagQL: Householder
+// Stage-1/stage-2 implementation of EigenSym: Householder
 // tridiagonalization with deterministic row-sharded update loops, then
 // implicit-shift QL on the tridiagonal with eigenvector accumulation.
 // Dispatch, validation and the `linalg.eigen.converge` failpoint live in

@@ -63,14 +63,13 @@ Result<Matrix> RepairToCorrelation(const Matrix& a,
     return failpoint::InjectedFault("linalg.psd_repair");
   }
   EigenSymOptions eigen_options;
-  eigen_options.kernel = options.eigen_kernel;
   eigen_options.num_threads = options.num_threads;
   Result<EigenDecomposition> decomp = EigenSym(a, eigen_options);
   if (!decomp.ok() &&
       decomp.status().code() == StatusCode::kNumericalError) {
     // Recovery policy: one retry after diagonal shrinkage toward the
     // identity. The shrunk matrix (1-g)A + gI has the same eigenvectors
-    // as A and strictly better-conditioned off-diagonal mass, so a sweep
+    // as A and strictly better-conditioned off-diagonal mass, so a shift
     // budget that was barely insufficient becomes sufficient; the
     // resulting repaired matrix is an explicitly *worse* (more
     // independent) correlation estimate, which is the accuracy downgrade

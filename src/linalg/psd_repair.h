@@ -15,13 +15,9 @@ struct PsdRepairOptions {
   /// ("small value" variant); with true, to their absolute value.
   bool use_abs = false;
   double min_eigenvalue = 1e-6;
-  /// Eigensolver kernel for the decomposition step (see EigenKernel). Both
-  /// kernels share the `linalg.eigen.converge` failpoint and the
-  /// NumericalError retry contract below.
-  EigenKernel eigen_kernel = EigenKernel::kTridiagQL;
-  /// Threads for the eigensolver's Householder update loops
-  /// (kTridiagQL only); 0 = hardware concurrency, <= 1 sequential. The
-  /// repaired matrix is bit-identical for every value.
+  /// Threads for the eigensolver's Householder update loops; 0 = hardware
+  /// concurrency, <= 1 sequential. The repaired matrix is bit-identical for
+  /// every value.
   int num_threads = 1;
 };
 

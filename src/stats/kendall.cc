@@ -164,7 +164,7 @@ Result<double> KendallTauFromRanks(const RankColumn& x, const RankColumn& y,
   } else {
     // Merge-count kernel. A stable counting sort of the y-sorted
     // permutation by x rank code yields the rows in (x, y) order in O(n +
-    // d_x) — the per-pair comparator sort the legacy path paid is gone.
+    // d_x), with no comparator sort per pair.
     ws->starts.assign(dx + 1, 0);
     for (std::size_t r = 0; r < n; ++r) ++ws->starts[x.rank[r] + 1];
     for (std::uint32_t c = 0; c < dx; ++c) {

@@ -14,13 +14,6 @@ namespace dpcopula::stats {
 /// neither. This is the estimator whose sensitivity the paper bounds by
 /// 4/(n+1) (Lemma 4.1).
 
-/// Which pairwise tau kernel the Kendall estimator runs. kRankCache is the
-/// production path: per-column rank structures built once and shared by
-/// every pair (contingency table for small domain products, rank-code merge
-/// count otherwise). kLegacy is the original one-sort-per-pair KendallTau,
-/// kept as the reference implementation for old-vs-new equivalence tests.
-enum class TauKernel { kRankCache, kLegacy };
-
 /// Per-column rank structures, computed once in O(n log n) and reused by
 /// every pair touching the column: dense rank codes (0 .. num_distinct-1,
 /// order-preserving, equal values share a code), the sorted permutation,
@@ -54,11 +47,12 @@ struct TauWorkspace {
 /// counts — i.e. when the domain product is small relative to n.
 bool UseContingencyKernel(std::uint64_t n, std::uint32_t dx, std::uint32_t dy);
 
-/// Pairwise tau from shared rank columns (the kRankCache kernel). Picks the
-/// contingency-table path when UseContingencyKernel() says so, otherwise a
-/// counting-sort + merge-count path; both produce integer pair counts
-/// identical to KendallTau's, so the returned tau is bit-identical to the
-/// legacy kernel on the same data.
+/// Pairwise tau from shared rank columns — the Kendall estimator's kernel:
+/// per-column rank structures built once and shared by every pair. Picks
+/// the contingency-table path when UseContingencyKernel() says so,
+/// otherwise a counting-sort + merge-count path; both produce integer pair
+/// counts identical to KendallTau's, so the returned tau is bit-identical
+/// to KendallTau on the same data.
 Result<double> KendallTauFromRanks(const RankColumn& x, const RankColumn& y,
                                    TauWorkspace* ws);
 

@@ -13,6 +13,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "reference/sampler_reference.h"
 
 namespace dpcopula {
 namespace {
@@ -187,14 +188,14 @@ TEST(RngTest, GaussianMoments) {
 }
 
 TEST(RngTest, PolarGaussianMoments) {
-  // The legacy polar path behind the method flag must stay statistically
-  // sound — golden fixtures and old-vs-new equivalence tests rely on it.
+  // The polar source of the sampler oracle must stay statistically sound —
+  // the sampler's distribution tests compare against it.
   Rng rng(19);
-  rng.set_gaussian_method(GaussianMethod::kPolar);
+  reference::PolarGaussian polar(&rng);
   const int n = 200000;
   double sum = 0.0, sum_sq = 0.0, sum_cube = 0.0;
   for (int i = 0; i < n; ++i) {
-    const double z = rng.NextGaussian();
+    const double z = polar.Next();
     sum += z;
     sum_sq += z * z;
     sum_cube += z * z * z;
@@ -225,19 +226,6 @@ TEST(RngTest, FillGaussianMatchesSequentialDraws) {
   for (int i = 0; i < 257; ++i) {
     ASSERT_DOUBLE_EQ(block[i], b.NextGaussian()) << "i=" << i;
   }
-}
-
-TEST(RngTest, SplitInheritsGaussianMethod) {
-  Rng parent(37);
-  parent.set_gaussian_method(GaussianMethod::kPolar);
-  Rng child = parent.Split();
-  EXPECT_EQ(child.gaussian_method(), GaussianMethod::kPolar);
-  // A legacy-flagged parent and an identically-seeded default parent must
-  // produce identical child *uniform* streams (the flag only affects
-  // Gaussians).
-  Rng parent2(37);
-  Rng child2 = parent2.Split();
-  EXPECT_EQ(child.NextUint64(), child2.NextUint64());
 }
 
 TEST(RngTest, SplitDecorrelates) {

@@ -11,6 +11,7 @@
 #include "copula/sampler.h"
 #include "data/generator.h"
 #include "linalg/cholesky.h"
+#include "reference/mle_reference.h"
 #include "stats/kendall.h"
 
 namespace dpcopula::copula {
@@ -57,7 +58,7 @@ TEST(PseudoObsTest, NormalScoresFinite) {
   data::Table t = CorrelatedTable(200, 0.3, &rng);
   auto pseudo = PseudoObservations(t);
   ASSERT_TRUE(pseudo.ok());
-  const auto scores = NormalScores(*pseudo);
+  const auto scores = reference::NormalScores(*pseudo);
   for (const auto& col : scores) {
     for (double z : col) EXPECT_TRUE(std::isfinite(z));
   }
@@ -122,16 +123,20 @@ TEST(NormalScoresCorrelationTest, RecoversGeneratingCorrelation) {
   data::Table t = CorrelatedTable(5000, 0.7, &rng);
   auto pseudo = PseudoObservations(t);
   ASSERT_TRUE(pseudo.ok());
-  auto corr = NormalScoresCorrelation(NormalScores(*pseudo));
+  const auto scores = reference::NormalScores(*pseudo);
+  const double* cols[] = {scores[0].data(), scores[1].data()};
+  auto corr = NormalScoresCorrelationTiledPacked(cols, 2, scores[0].size());
   ASSERT_TRUE(corr.ok());
-  EXPECT_NEAR((*corr)(0, 1), 0.7, 0.05);
-  EXPECT_DOUBLE_EQ((*corr)(0, 0), 1.0);
+  EXPECT_NEAR(corr->at(1, 0), 0.7, 0.05);
+  EXPECT_DOUBLE_EQ(corr->at(0, 0), 1.0);
 }
 
 TEST(NormalScoresCorrelationTest, ValidatesInput) {
-  EXPECT_FALSE(NormalScoresCorrelation({}).ok());
-  EXPECT_FALSE(NormalScoresCorrelation({{1.0}, {1.0}}).ok());
-  EXPECT_FALSE(NormalScoresCorrelation({{1.0, 2.0}, {1.0}}).ok());
+  const double col[] = {1.0, 2.0};
+  const double* cols[] = {col, col};
+  EXPECT_FALSE(NormalScoresCorrelationTiledPacked(cols, 0, 2).ok());
+  EXPECT_FALSE(NormalScoresCorrelationTiledPacked(cols, 2, 1).ok());
+  EXPECT_TRUE(NormalScoresCorrelationTiledPacked(cols, 2, 2).ok());
 }
 
 TEST(KendallEstimatorTest, AdequateSampleSizeFormula) {

@@ -1,10 +1,9 @@
-// Old-vs-new equivalence and determinism suite for the tridiagonal-QL
-// eigensolver kernel (the PR 9 counterpart of sampler_kernel_test.cc,
-// kendall_kernel_test.cc and mle_kernel_test.cc): eigenvalue agreement
-// between EigenKernel::kTridiagQL and the verbatim Jacobi legacy across
-// dimensions up to m = 200, bit-identical decompositions across 1/2/4/8
-// threads, shared `linalg.eigen.converge` failpoint semantics, Householder
-// stage invariants, and the high-dimension repair property on tau-noised
+// Equivalence and determinism suite for the tridiagonal-QL eigensolver:
+// eigenvalue agreement with the Jacobi oracle in
+// tests/reference/eigen_reference.h across dimensions up to m = 200,
+// bit-identical decompositions across 1/2/4/8 threads, the
+// `linalg.eigen.converge` failpoint semantics, Householder stage
+// invariants, and the high-dimension repair property on tau-noised
 // matrices.
 #include <gtest/gtest.h>
 
@@ -21,6 +20,7 @@
 #include "linalg/matrix.h"
 #include "linalg/packed_symmetric.h"
 #include "linalg/psd_repair.h"
+#include "reference/eigen_reference.h"
 
 namespace dpcopula::linalg {
 namespace {
@@ -56,9 +56,8 @@ Matrix TauNoisedMatrix(std::size_t m, double noise, Rng* rng) {
   return p;
 }
 
-EigenSymOptions KernelOptions(EigenKernel kernel, int num_threads = 1) {
+EigenSymOptions ThreadOptions(int num_threads) {
   EigenSymOptions options;
-  options.kernel = kernel;
   options.num_threads = num_threads;
   return options;
 }
@@ -74,8 +73,8 @@ TEST(EigenKernelAgreement, EigenvaluesAgreeAcrossKernels) {
   Rng rng(0xe16e5001);
   for (const std::size_t m : {2u, 8u, 32u, 100u}) {
     const Matrix a = RandomCorrelation(m, &rng);
-    auto ql = EigenSym(a, KernelOptions(EigenKernel::kTridiagQL));
-    auto jacobi = EigenSym(a, KernelOptions(EigenKernel::kJacobi));
+    auto ql = EigenSym(a);
+    auto jacobi = reference::EigenSymJacobi(a);
     ASSERT_TRUE(ql.ok()) << "m=" << m << ": " << ql.status().message();
     ASSERT_TRUE(jacobi.ok()) << "m=" << m << ": "
                              << jacobi.status().message();
@@ -91,7 +90,7 @@ TEST(EigenKernelAgreement, EigenvaluesAgreeAcrossKernels) {
 TEST(EigenKernelAgreement, QlVectorsAreOrthonormal) {
   Rng rng(0xe16e5002);
   const Matrix a = TauNoisedMatrix(64, 0.3, &rng);
-  auto ql = EigenSym(a, KernelOptions(EigenKernel::kTridiagQL));
+  auto ql = EigenSym(a);
   ASSERT_TRUE(ql.ok());
   const Matrix vtv = ql->vectors.Transpose() * ql->vectors;
   EXPECT_LT(vtv.MaxAbsDiff(Matrix::Identity(a.rows())), 1e-11);
@@ -100,15 +99,15 @@ TEST(EigenKernelAgreement, QlVectorsAreOrthonormal) {
 TEST(EigenKernelAgreement, IndefiniteInputAgreesIncludingNegativeTail) {
   Rng rng(0xe16e5003);
   const Matrix a = TauNoisedMatrix(48, 0.5, &rng);
-  auto ql = EigenSym(a, KernelOptions(EigenKernel::kTridiagQL));
-  auto jacobi = EigenSym(a, KernelOptions(EigenKernel::kJacobi));
+  auto ql = EigenSym(a);
+  auto jacobi = reference::EigenSymJacobi(a);
   ASSERT_TRUE(ql.ok());
   ASSERT_TRUE(jacobi.ok());
   EXPECT_LT(ql->values.back(), 0.0);  // The input really is indefinite.
   for (std::size_t k = 0; k < ql->values.size(); ++k) {
     EXPECT_NEAR(ql->values[k], jacobi->values[k], 1e-8) << "k=" << k;
   }
-  // Descending order, like the legacy kernel.
+  // Descending order, like the oracle.
   for (std::size_t k = 1; k < ql->values.size(); ++k) {
     EXPECT_GE(ql->values[k - 1], ql->values[k]);
   }
@@ -116,7 +115,8 @@ TEST(EigenKernelAgreement, IndefiniteInputAgreesIncludingNegativeTail) {
 
 // ---------------------------------------------------------------------------
 // High-dimension property: tau-noised matrices at m = 100 / 200 repair into
-// valid correlation matrices and the kernels agree on the spectrum.
+// valid correlation matrices and the solver agrees with the oracle on the
+// spectrum.
 
 TEST(EigenKernelHighDim, TauNoisedRepairProperty) {
   Rng rng(0xe16e5004);
@@ -124,9 +124,9 @@ TEST(EigenKernelHighDim, TauNoisedRepairProperty) {
     const Matrix p = TauNoisedMatrix(m, 0.4, &rng);
     EXPECT_FALSE(IsPositiveDefinite(p)) << "m=" << m;
 
-    // Kernel agreement on the raw noised matrix.
-    auto ql = EigenSym(p, KernelOptions(EigenKernel::kTridiagQL));
-    auto jacobi = EigenSym(p, KernelOptions(EigenKernel::kJacobi));
+    // Agreement with the oracle on the raw noised matrix.
+    auto ql = EigenSym(p);
+    auto jacobi = reference::EigenSymJacobi(p);
     ASSERT_TRUE(ql.ok()) << "m=" << m << ": " << ql.status().message();
     ASSERT_TRUE(jacobi.ok()) << "m=" << m << ": "
                              << jacobi.status().message();
@@ -135,7 +135,7 @@ TEST(EigenKernelHighDim, TauNoisedRepairProperty) {
           << "m=" << m << " k=" << k;
     }
 
-    // Repair (production kernel) succeeds and yields a valid correlation
+    // Repair succeeds and yields a valid correlation
     // matrix: positive definite, unit diagonal, entries in [-1, 1].
     PsdRepairOptions repair_options;
     repair_options.num_threads = 4;
@@ -159,10 +159,10 @@ TEST(EigenKernelHighDim, TauNoisedRepairProperty) {
 TEST(EigenKernelDeterminism, BitIdenticalAcrossThreadCounts) {
   Rng rng(0xe16e5005);
   const Matrix a = TauNoisedMatrix(150, 0.3, &rng);
-  auto base = EigenSym(a, KernelOptions(EigenKernel::kTridiagQL, 1));
+  auto base = EigenSym(a, ThreadOptions(1));
   ASSERT_TRUE(base.ok());
   for (const int threads : {2, 4, 8}) {
-    auto run = EigenSym(a, KernelOptions(EigenKernel::kTridiagQL, threads));
+    auto run = EigenSym(a, ThreadOptions(threads));
     ASSERT_TRUE(run.ok()) << "threads=" << threads;
     ASSERT_EQ(run->values.size(), base->values.size());
     for (std::size_t k = 0; k < base->values.size(); ++k) {
@@ -218,32 +218,28 @@ TEST(HouseholderStage, ReconstructsInputFromTridiagonalForm) {
 }
 
 // ---------------------------------------------------------------------------
-// Failure semantics: both kernels share the failpoint site and report
-// budget exhaustion with a data-independent message.
+// Failure semantics: the injected fault and a real budget exhaustion both
+// surface as NumericalError, with a data-independent message.
 
 #if DPCOPULA_FAILPOINTS_ENABLED
 
-TEST(EigenKernelFailpoints, InjectedConvergeFaultFiresOnBothKernels) {
+TEST(EigenKernelFailpoints, InjectedConvergeFaultIsNumericalError) {
   Rng rng(0xe16e5008);
   const Matrix a = RandomCorrelation(12, &rng);
-  for (const EigenKernel kernel :
-       {EigenKernel::kTridiagQL, EigenKernel::kJacobi}) {
-    ASSERT_TRUE(
-        Registry::Global().Arm("linalg.eigen.converge", "always").ok());
-    auto result = EigenSym(a, KernelOptions(kernel));
-    Registry::Global().DisarmAll();
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kNumericalError);
-    EXPECT_NE(result.status().message().find("linalg.eigen.converge"),
-              std::string::npos);
-  }
+  ASSERT_TRUE(Registry::Global().Arm("linalg.eigen.converge", "always").ok());
+  auto result = EigenSym(a);
+  Registry::Global().DisarmAll();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kNumericalError);
+  EXPECT_NE(result.status().message().find("linalg.eigen.converge"),
+            std::string::npos);
 }
 
 #endif  // DPCOPULA_FAILPOINTS_ENABLED
 
 TEST(EigenKernelFailpoints, QlBudgetExhaustionIsDataIndependent) {
   Rng rng(0xe16e5009);
-  EigenSymOptions options = KernelOptions(EigenKernel::kTridiagQL);
+  EigenSymOptions options;
   options.max_ql_iterations = 0;
   std::string first_message;
   for (const double noise : {0.3, 0.7}) {
@@ -265,37 +261,17 @@ TEST(EigenKernelFailpoints, QlBudgetExhaustionIsDataIndependent) {
 
 TEST(EigenKernelFailpoints, RepairShrinkageRetryCoversQlKernel) {
   // One injected non-convergence: the repair must retry on the shrunk
-  // matrix and succeed — the same availability policy the Jacobi kernel
-  // has always had.
+  // matrix and succeed.
   Rng rng(0xe16e500a);
   const Matrix p = TauNoisedMatrix(32, 0.5, &rng);
   ASSERT_TRUE(Registry::Global().Arm("linalg.eigen.converge", "once").ok());
-  PsdRepairOptions options;  // kTridiagQL default.
-  auto repaired = RepairToCorrelation(p, options);
+  auto repaired = RepairToCorrelation(p);
   Registry::Global().DisarmAll();
   ASSERT_TRUE(repaired.ok()) << repaired.status().message();
   EXPECT_TRUE(IsPositiveDefinite(*repaired));
 }
 
 #endif  // DPCOPULA_FAILPOINTS_ENABLED
-
-// ---------------------------------------------------------------------------
-// Estimator-facing sanity: flipping the repair kernel changes released
-// bytes only at round-off level.
-
-TEST(EigenKernelRepair, KernelsRepairToNearbyCorrelations) {
-  Rng rng(0xe16e500b);
-  const Matrix p = TauNoisedMatrix(80, 0.4, &rng);
-  PsdRepairOptions ql_options;
-  ql_options.eigen_kernel = EigenKernel::kTridiagQL;
-  PsdRepairOptions jacobi_options;
-  jacobi_options.eigen_kernel = EigenKernel::kJacobi;
-  auto ql = EnsureCorrelationMatrix(p, ql_options);
-  auto jacobi = EnsureCorrelationMatrix(p, jacobi_options);
-  ASSERT_TRUE(ql.ok());
-  ASSERT_TRUE(jacobi.ok());
-  EXPECT_LT(ql->MaxAbsDiff(*jacobi), 1e-7);
-}
 
 }  // namespace
 }  // namespace dpcopula::linalg

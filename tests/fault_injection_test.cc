@@ -509,13 +509,6 @@ TEST_F(FaultInjectionTest, KendallPairFaultPropagatesFirstFailure) {
           << "threads=" << threads;
     }
   }
-  // The legacy kernel runs the same pair loop and propagates identically.
-  options.kernel = stats::TauKernel::kLegacy;
-  options.num_threads = 1;
-  Rng rng(93);
-  auto est = copula::EstimateKendallCorrelation(t, 1.0, &rng, options);
-  ASSERT_FALSE(est.ok());
-  EXPECT_EQ(est.status().message(), first_message);
 }
 
 TEST_F(FaultInjectionTest, SamplerRowFaultFailsClosed) {
@@ -855,13 +848,15 @@ TEST(NaturalFailures, EigenSymReportsSweepExhaustion) {
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) a(i, j) = (i == j) ? 2.0 : 0.5;
   }
-  auto ed = linalg::EigenSym(a, /*max_sweeps=*/0);
+  linalg::EigenSymOptions no_shifts;
+  no_shifts.max_ql_iterations = 0;
+  auto ed = linalg::EigenSym(a, no_shifts);
   ASSERT_FALSE(ed.ok());
   EXPECT_EQ(ed.status().code(), StatusCode::kNumericalError);
-  // And the message is structural only (sweep count, no matrix entries).
+  // And the message is structural only (shift budget, no matrix entries).
   linalg::Matrix b = a;
   b(0, 1) = b(1, 0) = 0.123;
-  auto eb = linalg::EigenSym(b, /*max_sweeps=*/0);
+  auto eb = linalg::EigenSym(b, no_shifts);
   ASSERT_FALSE(eb.ok());
   EXPECT_EQ(ed.status().message(), eb.status().message());
 }

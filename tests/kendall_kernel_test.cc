@@ -1,9 +1,9 @@
-// Old-vs-new equivalence and determinism suite for the rank-cache Kendall
-// kernel (the PR-5 counterpart of sampler_kernel_test.cc): exact tau
-// agreement between TauKernel::kRankCache and TauKernel::kLegacy on tied,
-// untied, and degenerate data; contingency-kernel cross-checks against the
-// brute-force reference; bit-identical noisy estimator output across
-// kernels and across 1/2/4/8 threads.
+// Equivalence and determinism suite for the rank-cache Kendall kernel:
+// exact tau agreement between KendallTauFromRanks and the one-sort-per-pair
+// KendallTau on tied, untied, and degenerate data; contingency-kernel
+// cross-checks against the brute-force reference; noisy estimator output
+// bit-identical to the per-pair oracle in tests/reference/ and across
+// 1/2/4/8 threads.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +14,7 @@
 #include "copula/kendall_estimator.h"
 #include "data/generator.h"
 #include "linalg/matrix.h"
+#include "reference/kendall_reference.h"
 #include "stats/kendall.h"
 
 namespace dpcopula {
@@ -26,7 +27,6 @@ using stats::KendallTau;
 using stats::KendallTauBruteForce;
 using stats::KendallTauFromRanks;
 using stats::RankColumn;
-using stats::TauKernel;
 using stats::TauWorkspace;
 using stats::UseContingencyKernel;
 
@@ -237,24 +237,25 @@ void ExpectMatricesIdentical(const linalg::Matrix& a,
 
 TEST(KendallKernelEstimatorTest, NoisyOutputBitIdenticalAcrossKernels) {
   // Exact taus plus identical per-pair noise streams imply the released
-  // matrices agree to the last bit — tested on tied (small-domain) and
-  // nearly-untied (large-domain) data, with and without subsampling.
+  // matrices agree to the last bit with the one-sort-per-pair oracle —
+  // tested on tied (small-domain) and nearly-untied (large-domain) data,
+  // with and without subsampling.
   for (const std::int64_t domain : {6, 100000}) {
     data::Table t = MakeCorrelated(3000, 4, 0.5, 1234, domain);
     for (const bool subsample : {false, true}) {
-      KendallEstimatorOptions legacy_opts, cache_opts;
-      legacy_opts.kernel = TauKernel::kLegacy;
-      legacy_opts.subsample = subsample;
-      cache_opts.kernel = TauKernel::kRankCache;
-      cache_opts.subsample = subsample;
+      KendallEstimatorOptions options;
+      options.subsample = subsample;
       Rng r1(55), r2(55);
-      auto legacy = EstimateKendallCorrelation(t, 0.8, &r1, legacy_opts);
-      auto cached = EstimateKendallCorrelation(t, 0.8, &r2, cache_opts);
+      auto legacy = reference::EstimateKendallCorrelation(t, 0.8, &r1, options);
+      auto cached = EstimateKendallCorrelation(t, 0.8, &r2, options);
       ASSERT_TRUE(legacy.ok());
       ASSERT_TRUE(cached.ok());
       ExpectMatricesIdentical(legacy->correlation, cached->correlation);
       EXPECT_EQ(legacy->rows_used, cached->rows_used);
-      EXPECT_EQ(legacy->contingency_pairs, 0);
+      EXPECT_EQ(legacy->laplace_scale, cached->laplace_scale);
+      EXPECT_EQ(legacy->repaired, cached->repaired);
+      // Both consumed the same number of draws from the caller's RNG.
+      EXPECT_EQ(r1.NextUint64(), r2.NextUint64());
     }
   }
 }
@@ -291,12 +292,12 @@ TEST(KendallKernelEstimatorTest, ContingencyPairsReported) {
 TEST(KendallKernelEstimatorTest, RejectsNonFiniteData) {
   data::Table t = MakeCorrelated(100, 3, 0.3, 13);
   t.mutable_column(1)[17] = std::nan("");
-  for (const TauKernel kernel : {TauKernel::kRankCache, TauKernel::kLegacy}) {
-    KendallEstimatorOptions options;
-    options.kernel = kernel;
-    options.subsample = false;
-    Rng rng(5);
-    auto est = EstimateKendallCorrelation(t, 1.0, &rng, options);
+  KendallEstimatorOptions options;
+  options.subsample = false;
+  Rng r1(5), r2(5);
+  for (const auto& est :
+       {EstimateKendallCorrelation(t, 1.0, &r1, options),
+        reference::EstimateKendallCorrelation(t, 1.0, &r2, options)}) {
     ASSERT_FALSE(est.ok());
     EXPECT_NE(est.status().message().find("non-finite"), std::string::npos);
   }

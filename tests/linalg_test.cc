@@ -13,6 +13,7 @@
 #include "linalg/psd_repair.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "reference/eigen_reference.h"
 
 namespace dpcopula::linalg {
 namespace {
@@ -338,16 +339,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PsdRepairRandomTest,
 // ---------------------------------------------------------------------------
 // PR 9 bugfix regressions.
 
-// EigenSym's convergence test used to compare the off-diagonal norm to an
-// *absolute* 1e-13: for badly scaled input the round-off floor sits at
-// eps * ||A||_F and the absolute target is unreachable, so the solver
-// burned the whole sweep budget and failed spuriously. The tolerance is
-// now relative to ||A||_F.
+// The Jacobi solver's convergence test used to compare the off-diagonal
+// norm to an *absolute* 1e-13: for badly scaled input the round-off floor
+// sits at eps * ||A||_F and the absolute target is unreachable, so the
+// solver burned the whole sweep budget and failed spuriously. The tolerance
+// is now relative to ||A||_F; the solver lives on as the test oracle.
 TEST(EigenSymTest, RelativeToleranceConvergesAtM200LargeScale) {
   Rng rng(0x5ca1ab1e);
   const std::size_t m = 200;
   const Matrix scaled = RandomCorrelation(m, &rng).Scaled(1e8);
-  auto ed = EigenSym(scaled, /*max_sweeps=*/64);  // Legacy Jacobi overload.
+  auto ed = reference::EigenSymJacobi(scaled, /*max_sweeps=*/64);
   ASSERT_TRUE(ed.ok()) << ed.status().message();
   // Reconstruction error small relative to the 1e8 scale.
   EXPECT_LT(EigenReconstruct(*ed).MaxAbsDiff(scaled), 1e-4);
@@ -419,18 +420,14 @@ TEST(PsdRepairTest, NonPositiveDiagonalAfterLiftFailsClosed) {
   a(2, 2) = -1.0;
   PsdRepairOptions options;
   options.min_eigenvalue = 0.0;
-  for (const EigenKernel kernel :
-       {EigenKernel::kTridiagQL, EigenKernel::kJacobi}) {
-    options.eigen_kernel = kernel;
-    const std::int64_t before = failures->Value();
-    auto repaired = RepairToCorrelation(a, options);
-    ASSERT_FALSE(repaired.ok());
-    EXPECT_EQ(repaired.status().code(), StatusCode::kNumericalError);
-    EXPECT_NE(repaired.status().message().find("non-positive diagonal"),
-              std::string::npos);
-    if (DPCOPULA_OBS_ENABLED != 0) {
-      EXPECT_EQ(failures->Value(), before + 1);
-    }
+  const std::int64_t before = failures->Value();
+  auto repaired = RepairToCorrelation(a, options);
+  ASSERT_FALSE(repaired.ok());
+  EXPECT_EQ(repaired.status().code(), StatusCode::kNumericalError);
+  EXPECT_NE(repaired.status().message().find("non-positive diagonal"),
+            std::string::npos);
+  if (DPCOPULA_OBS_ENABLED != 0) {
+    EXPECT_EQ(failures->Value(), before + 1);
   }
   obs::SetObsConfig(obs::ObsConfig{});
 }

@@ -1,10 +1,9 @@
-// Old-vs-new equivalence and determinism suite for the batched MLE
-// partition-fit kernel (the PR counterpart of sampler_kernel_test.cc and
-// kendall_kernel_test.cc): bit-identical released matrices between
-// MleKernel::kBatched and MleKernel::kLegacy across data shapes and
-// 1/2/4/8 threads; exact scalar-vs-AVX2 agreement of the batch Phi/Phi^-1
-// kernels over (0, 1) including denormal-adjacent inputs; workspace-reuse
-// hygiene; and survivor averaging under injected partition faults.
+// Equivalence and determinism suite for the batched MLE partition-fit
+// kernel: released matrices bit-identical to the per-partition oracle in
+// tests/reference/mle_reference.h across data shapes, and across 1/2/4/8
+// threads; exact scalar-vs-AVX2 agreement of the batch Phi/Phi^-1 kernels
+// over (0, 1) including denormal-adjacent inputs; workspace-reuse hygiene;
+// and survivor averaging under injected partition faults.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +19,7 @@
 #include "copula/pseudo_obs.h"
 #include "data/generator.h"
 #include "linalg/matrix.h"
+#include "reference/mle_reference.h"
 #include "stats/empirical_cdf.h"
 #include "stats/normal.h"
 
@@ -28,10 +28,9 @@ namespace {
 
 using copula::EstimateMleCorrelation;
 using copula::MleEstimatorOptions;
-using copula::MleKernel;
-using copula::NormalScoresCorrelation;
-using copula::NormalScoresCorrelationTiled;
+using copula::NormalScoresCorrelationTiledPacked;
 using failpoint::Registry;
+using reference::NormalScoresCorrelation;
 
 data::Table MakeCorrelated(std::size_t n, std::size_t m, double rho,
                            std::uint64_t seed, std::int64_t domain = 24) {
@@ -184,17 +183,18 @@ TEST(TiledCorrelationTest, MatchesReferenceBitwise) {
       std::vector<const double*> ptrs(m);
       for (std::size_t j = 0; j < m; ++j) ptrs[j] = scores[j].data();
       auto ref = NormalScoresCorrelation(scores);
-      auto tiled = NormalScoresCorrelationTiled(ptrs.data(), m, n);
+      auto tiled = NormalScoresCorrelationTiledPacked(ptrs.data(), m, n);
       ASSERT_TRUE(ref.ok());
       ASSERT_TRUE(tiled.ok());
-      ExpectMatricesIdentical(*ref, *tiled);
+      ExpectMatricesIdentical(*ref, tiled->ToMatrix());
     }
   }
 }
 
 TEST(TiledCorrelationTest, PackedOutputMatchesDenseBitwise) {
-  // The packed-emitting variant feeds the MLE partition average; every
-  // stored coefficient must carry the exact bits of the dense wrapper.
+  // The packed output feeds the MLE partition average; every stored
+  // coefficient must carry the exact bits of the dense column-vector
+  // oracle.
   Rng rng(304);
   for (const std::size_t n : {2u, 255u, 1000u}) {
     for (const std::size_t m : {2u, 5u, 9u}) {
@@ -204,19 +204,16 @@ TEST(TiledCorrelationTest, PackedOutputMatchesDenseBitwise) {
       }
       std::vector<const double*> ptrs(m);
       for (std::size_t j = 0; j < m; ++j) ptrs[j] = scores[j].data();
-      auto dense = NormalScoresCorrelationTiled(ptrs.data(), m, n);
-      auto packed =
-          copula::NormalScoresCorrelationTiledPacked(ptrs.data(), m, n);
+      auto dense = NormalScoresCorrelation(scores);
+      auto packed = NormalScoresCorrelationTiledPacked(ptrs.data(), m, n);
       ASSERT_TRUE(dense.ok());
       ASSERT_TRUE(packed.ok());
       ExpectMatricesIdentical(*dense, packed->ToMatrix());
     }
   }
   std::vector<const double*> ptrs(2, nullptr);
-  EXPECT_FALSE(
-      copula::NormalScoresCorrelationTiledPacked(ptrs.data(), 0, 3).ok());
-  EXPECT_FALSE(
-      copula::NormalScoresCorrelationTiledPacked(ptrs.data(), 2, 1).ok());
+  EXPECT_FALSE(NormalScoresCorrelationTiledPacked(ptrs.data(), 0, 3).ok());
+  EXPECT_FALSE(NormalScoresCorrelationTiledPacked(ptrs.data(), 2, 1).ok());
 }
 
 TEST(TiledCorrelationTest, DegenerateColumnsAndValidation) {
@@ -225,12 +222,12 @@ TEST(TiledCorrelationTest, DegenerateColumnsAndValidation) {
   std::vector<std::vector<double>> scores{{1.0, 1.0, 1.0}, {1.0, 2.0, 3.0}};
   std::vector<const double*> ptrs{scores[0].data(), scores[1].data()};
   auto ref = NormalScoresCorrelation(scores);
-  auto tiled = NormalScoresCorrelationTiled(ptrs.data(), 2, 3);
+  auto tiled = NormalScoresCorrelationTiledPacked(ptrs.data(), 2, 3);
   ASSERT_TRUE(ref.ok());
   ASSERT_TRUE(tiled.ok());
-  ExpectMatricesIdentical(*ref, *tiled);
-  EXPECT_FALSE(NormalScoresCorrelationTiled(ptrs.data(), 0, 3).ok());
-  EXPECT_FALSE(NormalScoresCorrelationTiled(ptrs.data(), 2, 1).ok());
+  ExpectMatricesIdentical(*ref, tiled->ToMatrix());
+  EXPECT_FALSE(NormalScoresCorrelationTiledPacked(ptrs.data(), 0, 3).ok());
+  EXPECT_FALSE(NormalScoresCorrelationTiledPacked(ptrs.data(), 2, 1).ok());
 }
 
 TEST(TiledCorrelationTest, WorkspaceReuseAcrossShapesIsClean) {
@@ -247,15 +244,15 @@ TEST(TiledCorrelationTest, WorkspaceReuseAcrossShapesIsClean) {
     std::vector<const double*> ptrs(m);
     for (std::size_t j = 0; j < m; ++j) ptrs[j] = scores[j].data();
     auto ref = NormalScoresCorrelation(scores);
-    auto tiled = NormalScoresCorrelationTiled(ptrs.data(), m, n);
+    auto tiled = NormalScoresCorrelationTiledPacked(ptrs.data(), m, n);
     ASSERT_TRUE(ref.ok());
     ASSERT_TRUE(tiled.ok());
-    ExpectMatricesIdentical(*ref, *tiled);
+    ExpectMatricesIdentical(*ref, tiled->ToMatrix());
   }
 }
 
 // ---------------------------------------------------------------------------
-// Estimator-level old-vs-new equivalence.
+// Estimator-level equivalence with the per-partition oracle.
 
 class MleKernelRandomTest : public ::testing::TestWithParam<int> {};
 
@@ -268,16 +265,13 @@ TEST_P(MleKernelRandomTest, NoisyOutputBitIdenticalAcrossKernels) {
   const std::size_t m = 3 + static_cast<std::size_t>(seed) % 3;
   data::Table t = MakeCorrelated(n, m, 0.4, 7000 + seed, domain);
 
-  MleEstimatorOptions legacy_opts, batched_opts;
-  legacy_opts.kernel = MleKernel::kLegacy;
-  batched_opts.kernel = MleKernel::kBatched;
+  MleEstimatorOptions options;
   // Force a partition count that leaves a dropped remainder on most seeds.
-  legacy_opts.num_partitions = 7 + seed % 5;
-  batched_opts.num_partitions = legacy_opts.num_partitions;
+  options.num_partitions = 7 + seed % 5;
 
   Rng r1(123), r2(123);
-  auto legacy = EstimateMleCorrelation(t, 1.0, &r1, legacy_opts);
-  auto batched = EstimateMleCorrelation(t, 1.0, &r2, batched_opts);
+  auto legacy = reference::EstimateMleCorrelation(t, 1.0, &r1, options);
+  auto batched = EstimateMleCorrelation(t, 1.0, &r2, options);
   ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batched.ok());
   ExpectMatricesIdentical(legacy->correlation, batched->correlation);
@@ -309,14 +303,11 @@ TEST(MleKernelEquivalenceTest, NonIntegralValuesMatchLegacy) {
     // floor lands at -1 and EvaluateMid clamps back to 0.
     col[j] = -0.25;
   }
-  MleEstimatorOptions legacy_opts, batched_opts;
-  legacy_opts.kernel = MleKernel::kLegacy;
-  legacy_opts.num_partitions = 5;
-  batched_opts.kernel = MleKernel::kBatched;
-  batched_opts.num_partitions = 5;
+  MleEstimatorOptions options;
+  options.num_partitions = 5;
   Rng r1(9), r2(9);
-  auto legacy = EstimateMleCorrelation(t, 1.0, &r1, legacy_opts);
-  auto batched = EstimateMleCorrelation(t, 1.0, &r2, batched_opts);
+  auto legacy = reference::EstimateMleCorrelation(t, 1.0, &r1, options);
+  auto batched = EstimateMleCorrelation(t, 1.0, &r2, options);
   ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batched.ok());
   ExpectMatricesIdentical(legacy->correlation, batched->correlation);
@@ -337,14 +328,11 @@ TEST(MleKernelEquivalenceTest, HugeDomainSparsePathMatchesLegacy) {
     }
     col[j] = 0.75;  // llround bin 1, eval bin 0: below all counted mass.
   }
-  MleEstimatorOptions legacy_opts, batched_opts;
-  legacy_opts.kernel = MleKernel::kLegacy;
-  legacy_opts.num_partitions = 5;
-  batched_opts.kernel = MleKernel::kBatched;
-  batched_opts.num_partitions = 5;
+  MleEstimatorOptions options;
+  options.num_partitions = 5;
   Rng r1(15), r2(15);
-  auto legacy = EstimateMleCorrelation(t, 1.0, &r1, legacy_opts);
-  auto batched = EstimateMleCorrelation(t, 1.0, &r2, batched_opts);
+  auto legacy = reference::EstimateMleCorrelation(t, 1.0, &r1, options);
+  auto batched = EstimateMleCorrelation(t, 1.0, &r2, options);
   ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batched.ok());
   ExpectMatricesIdentical(legacy->correlation, batched->correlation);
@@ -353,7 +341,6 @@ TEST(MleKernelEquivalenceTest, HugeDomainSparsePathMatchesLegacy) {
 TEST(MleKernelEquivalenceTest, ThreadCountInvariance) {
   data::Table t = MakeCorrelated(4000, 5, 0.4, 321);
   MleEstimatorOptions options;
-  options.kernel = MleKernel::kBatched;
   options.num_partitions = 16;
   linalg::Matrix reference;
   for (const int threads : {1, 2, 4, 8}) {
@@ -371,8 +358,8 @@ TEST(MleKernelEquivalenceTest, ThreadCountInvariance) {
 
 TEST(MleKernelEquivalenceTest, EstimatorWorkspaceReuseIsClean) {
   // Back-to-back estimates of different shapes on the same thread reuse the
-  // thread_local pseudo-observation workspace; each must still match its
-  // legacy twin exactly.
+  // thread_local pseudo-observation workspace; each must still match the
+  // oracle exactly.
   struct Shape {
     std::size_t n, m;
     std::int64_t domain, partitions;
@@ -385,15 +372,12 @@ TEST(MleKernelEquivalenceTest, EstimatorWorkspaceReuseIsClean) {
   for (const auto& s : shapes) {
     data::Table t =
         MakeCorrelated(s.n, s.m, 0.35, 800 + idx, s.domain);
-    MleEstimatorOptions legacy_opts, batched_opts;
-    legacy_opts.kernel = MleKernel::kLegacy;
-    legacy_opts.num_partitions = s.partitions;
-    legacy_opts.num_threads = 1;
-    batched_opts = legacy_opts;
-    batched_opts.kernel = MleKernel::kBatched;
+    MleEstimatorOptions options;
+    options.num_partitions = s.partitions;
+    options.num_threads = 1;
     Rng r1(42), r2(42);
-    auto legacy = EstimateMleCorrelation(t, 0.9, &r1, legacy_opts);
-    auto batched = EstimateMleCorrelation(t, 0.9, &r2, batched_opts);
+    auto legacy = reference::EstimateMleCorrelation(t, 0.9, &r1, options);
+    auto batched = EstimateMleCorrelation(t, 0.9, &r2, options);
     ASSERT_TRUE(legacy.ok()) << "shape " << idx;
     ASSERT_TRUE(batched.ok()) << "shape " << idx;
     ExpectMatricesIdentical(legacy->correlation, batched->correlation);
@@ -404,27 +388,24 @@ TEST(MleKernelEquivalenceTest, EstimatorWorkspaceReuseIsClean) {
 TEST(MleKernelEquivalenceTest, OutOfDomainValueFailsBothKernelsAlike) {
   data::Table t = MakeCorrelated(600, 3, 0.3, 61, /*domain=*/24);
   t.mutable_column(1)[100] = 400.0;  // Outside the declared domain.
-  for (const MleKernel kernel : {MleKernel::kBatched, MleKernel::kLegacy}) {
-    MleEstimatorOptions options;
-    options.kernel = kernel;
-    options.num_partitions = 6;
-    Rng rng(5);
-    auto est = EstimateMleCorrelation(t, 1.0, &rng, options);
+  MleEstimatorOptions strict;
+  strict.num_partitions = 6;
+  Rng s1(5), s2(5);
+  for (const auto& est :
+       {EstimateMleCorrelation(t, 1.0, &s1, strict),
+        reference::EstimateMleCorrelation(t, 1.0, &s2, strict)}) {
     ASSERT_FALSE(est.ok());
     EXPECT_NE(est.status().message().find("outside domain"),
               std::string::npos);
   }
   // With enough failure headroom the poisoned partition is excluded and the
   // survivor averages must again agree bit for bit.
-  MleEstimatorOptions legacy_opts, batched_opts;
-  legacy_opts.kernel = MleKernel::kLegacy;
-  legacy_opts.num_partitions = 6;
-  legacy_opts.max_failed_partitions = 2;
-  batched_opts = legacy_opts;
-  batched_opts.kernel = MleKernel::kBatched;
+  MleEstimatorOptions options;
+  options.num_partitions = 6;
+  options.max_failed_partitions = 2;
   Rng r1(5), r2(5);
-  auto legacy = EstimateMleCorrelation(t, 1.0, &r1, legacy_opts);
-  auto batched = EstimateMleCorrelation(t, 1.0, &r2, batched_opts);
+  auto legacy = reference::EstimateMleCorrelation(t, 1.0, &r1, options);
+  auto batched = EstimateMleCorrelation(t, 1.0, &r2, options);
   ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batched.ok());
   EXPECT_EQ(legacy->failed_partitions, 1);
@@ -433,12 +414,11 @@ TEST(MleKernelEquivalenceTest, OutOfDomainValueFailsBothKernelsAlike) {
 }
 
 TEST(MleKernelEquivalenceTest, BatchedRejectsNonFiniteData) {
-  // Documented divergence: kBatched fails the whole estimate on non-finite
-  // input instead of reaching llround UB.
+  // A non-finite value fails the whole estimate up front (the oracle's
+  // llround would be undefined on it).
   data::Table t = MakeCorrelated(300, 3, 0.3, 13);
   t.mutable_column(2)[7] = std::nan("");
   MleEstimatorOptions options;
-  options.kernel = MleKernel::kBatched;
   options.num_partitions = 3;
   Rng rng(5);
   auto est = EstimateMleCorrelation(t, 1.0, &rng, options);
@@ -458,19 +438,16 @@ class MleFailpointTest : public ::testing::Test {
 TEST_F(MleFailpointTest, SurvivorAveragingMatchesLegacyUnderInjectedFaults) {
   data::Table t = MakeCorrelated(1200, 4, 0.4, 404);
   // Partitions 0, 3, 6, 9 fail by injection; the failpoint index is the
-  // partition number, so the schedule is identical for both kernels and
-  // every thread count.
-  MleEstimatorOptions legacy_opts, batched_opts;
-  legacy_opts.kernel = MleKernel::kLegacy;
-  legacy_opts.num_partitions = 10;
-  legacy_opts.max_failed_partitions = 4;
-  batched_opts = legacy_opts;
-  batched_opts.kernel = MleKernel::kBatched;
+  // partition number, so the schedule is identical for the kernel, the
+  // oracle and every thread count.
+  MleEstimatorOptions options;
+  options.num_partitions = 10;
+  options.max_failed_partitions = 4;
 
   ASSERT_TRUE(Registry::Global().Arm("mle.partition_fit", "1in3").ok());
   Rng r1(31), r2(31);
-  auto legacy = EstimateMleCorrelation(t, 1.0, &r1, legacy_opts);
-  auto batched = EstimateMleCorrelation(t, 1.0, &r2, batched_opts);
+  auto legacy = reference::EstimateMleCorrelation(t, 1.0, &r1, options);
+  auto batched = EstimateMleCorrelation(t, 1.0, &r2, options);
   ASSERT_TRUE(legacy.ok());
   ASSERT_TRUE(batched.ok());
   EXPECT_EQ(legacy->failed_partitions, 4);
@@ -480,16 +457,16 @@ TEST_F(MleFailpointTest, SurvivorAveragingMatchesLegacyUnderInjectedFaults) {
   ExpectMatricesIdentical(legacy->correlation, batched->correlation);
 
   // Strict mode: the same schedule with no headroom fails closed with the
-  // injected-fault status under both kernels. kOnce keys on the partition
-  // index (not a hit counter), so one arming covers both runs.
+  // injected-fault status in the kernel and the oracle. kOnce keys on the
+  // partition index (not a hit counter), so one arming covers both runs.
   Registry::Global().DisarmAll();
   ASSERT_TRUE(Registry::Global().Arm("mle.partition_fit", "once").ok());
-  for (const MleKernel kernel : {MleKernel::kBatched, MleKernel::kLegacy}) {
-    MleEstimatorOptions strict;
-    strict.kernel = kernel;
-    strict.num_partitions = 10;
-    Rng rng(3);
-    auto est = EstimateMleCorrelation(t, 1.0, &rng, strict);
+  MleEstimatorOptions strict;
+  strict.num_partitions = 10;
+  Rng s1(3), s2(3);
+  for (const auto& est :
+       {EstimateMleCorrelation(t, 1.0, &s1, strict),
+        reference::EstimateMleCorrelation(t, 1.0, &s2, strict)}) {
     ASSERT_FALSE(est.ok());
     EXPECT_NE(est.status().message().find("mle.partition_fit"),
               std::string::npos);
