@@ -56,12 +56,6 @@ Status ValidateMargins(const data::Schema& schema,
 /// block (both column-major, column j of the tile at [j * kSamplerTileRows],
 /// so the triangular mat-mul and the output stores run over contiguous runs
 /// of kSamplerTileRows doubles) and the t family's per-row scale.
-///
-/// A partial tile fills only the first m * tile_rows entries of `z`, while
-/// column k is read from k * kSamplerTileRows: its later columns read the
-/// previous tile's draws, or zeros in a shard's first tile. Fixing that
-/// changes every table whose row count is not a multiple of
-/// kSamplerTileRows, so it is left to a change that re-goldens outputs.
 struct TileScratch {
   explicit TileScratch(std::size_t m)
       : z(m * kSamplerTileRows), w(m * kSamplerTileRows),
@@ -187,10 +181,17 @@ Result<data::Table> SamplingPlan::Sample(std::size_t num_rows, Rng* rng,
             }
           }
           {
-            // Draw order within a tile is fixed: the Gaussian block first,
-            // then (t only) one chi-squared mixing variable per record.
+            // Draw order within a tile is fixed: the Gaussian block column
+            // by column, then (t only) one chi-squared mixing variable per
+            // record. Each column is filled at its own stride, so a partial
+            // tile gives every column tile_rows fresh draws; a full tile
+            // draws the same m * kSamplerTileRows values in the same order
+            // as one contiguous fill.
             obs::StageScope stage(obs::Stage::kGaussianFill);
-            shard_rng->FillGaussian(scratch.z.data(), m * tile_rows);
+            for (std::size_t k = 0; k < m; ++k) {
+              shard_rng->FillGaussian(scratch.z.data() + k * kSamplerTileRows,
+                                      tile_rows);
+            }
             if (student_t) {
               for (std::size_t r = 0; r < tile_rows; ++r) {
                 const double w = stats::SampleChiSquared(shard_rng, dof_);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/dpcopula.h"
@@ -467,6 +469,48 @@ TEST(HybridTest, SkipsNegativeNoisyCountPartitions) {
   // The empty partition should be skipped in at least some repetitions
   // (noisy count <= 0 with probability 1/2).
   EXPECT_GT(skipped_seen, 0);
+}
+
+TEST(HybridTest, SmallPartitionSamplesEveryColumn) {
+  // Two ~150-row partitions of six independent uniform 100-value columns:
+  // each partition is sampled inside one partial tile, and every column of
+  // it must be a sample of its own — not a near-constant column left
+  // without Gaussian draws. The large budget keeps the margins near uniform
+  // and the correlation near the identity.
+  Rng rng(253);
+  std::vector<data::Attribute> attrs{{"g", 2}};
+  for (int j = 0; j < 6; ++j) attrs.push_back({"x" + std::to_string(j), 100});
+  data::Table t{data::Schema(attrs)};
+  for (int i = 0; i < 300; ++i) {
+    std::vector<double> row{static_cast<double>(i % 2)};
+    for (int j = 0; j < 6; ++j) {
+      row.push_back(static_cast<double>(rng.NextUint64Below(100)));
+    }
+    ASSERT_TRUE(t.AppendRow(row).ok());
+  }
+  HybridOptions opts;
+  opts.epsilon = 100.0;
+  auto res = SynthesizeHybrid(t, opts, &rng);
+  ASSERT_TRUE(res.ok());
+  ASSERT_EQ(res->num_partitions, 2);
+  const data::Table& out = res->synthetic;
+  for (const double g : {0.0, 1.0}) {
+    std::size_t rows = 0;
+    for (std::size_t j = 1; j < out.num_columns(); ++j) {
+      std::vector<double> values;
+      for (std::size_t i = 0; i < out.num_rows(); ++i) {
+        if (out.column(0)[i] == g) values.push_back(out.column(j)[i]);
+      }
+      rows = values.size();
+      std::sort(values.begin(), values.end());
+      const auto distinct =
+          std::unique(values.begin(), values.end()) - values.begin();
+      // ~150 uniform draws over 100 values give ~78 distinct values.
+      EXPECT_GE(distinct, 50) << "partition " << g << " column " << j;
+    }
+    EXPECT_GT(rows, 100u);
+    EXPECT_LT(rows, 256u);
+  }
 }
 
 TEST(HybridTest, BrazilCensusEndToEnd) {
