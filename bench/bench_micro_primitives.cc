@@ -171,7 +171,27 @@ void BM_ForwardDct(benchmark::State& state) {
     benchmark::DoNotOptimize(dpcopula::hist::ForwardDct(x));
   }
 }
-BENCHMARK(BM_ForwardDct)->Arg(256)->Arg(1024);
+BENCHMARK(BM_ForwardDct)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(1248)
+    ->Arg(4096)
+    ->UseRealTime();
+
+void BM_InverseDct(benchmark::State& state) {
+  Rng rng(17);
+  std::vector<double> c(static_cast<std::size_t>(state.range(0)));
+  for (double& v : c) v = rng.NextGaussian();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dpcopula::hist::InverseDct(c));
+  }
+}
+BENCHMARK(BM_InverseDct)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(1248)
+    ->Arg(4096)
+    ->UseRealTime();
 
 void BM_EfpaPublish(benchmark::State& state) {
   Rng rng(19);
@@ -185,7 +205,7 @@ void BM_EfpaPublish(benchmark::State& state) {
         dpcopula::marginals::PublishEfpaHistogram(counts, 1.0, &rng));
   }
 }
-BENCHMARK(BM_EfpaPublish)->Arg(1000);
+BENCHMARK(BM_EfpaPublish)->Arg(1000)->Arg(1248);
 
 void BM_StudentTInverseCdf(benchmark::State& state) {
   Rng rng(23);

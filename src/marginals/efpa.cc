@@ -9,6 +9,13 @@
 
 namespace dpcopula::marginals {
 
+namespace {
+
+// Fraction of the budget spent on the private selection of k.
+constexpr double kSelectionFraction = 0.5;
+
+}  // namespace
+
 double EfpaExpectedError(const std::vector<double>& spectrum_sq_tail,
                          std::size_t k, double epsilon_noise) {
   // spectrum_sq_tail[k] = sum_{i >= k} F_i^2 (energy discarded when keeping
@@ -21,19 +28,14 @@ double EfpaExpectedError(const std::vector<double>& spectrum_sq_tail,
 }
 
 Result<std::vector<double>> PublishEfpaHistogram(
-    const std::vector<double>& counts, double epsilon, Rng* rng,
-    const EfpaOptions& options) {
+    const std::vector<double>& counts, double epsilon, Rng* rng) {
   if (counts.empty()) {
     return Status::InvalidArgument("EFPA: empty input");
   }
   if (!(epsilon > 0.0)) {
     return Status::InvalidArgument("EFPA: epsilon must be > 0");
   }
-  if (!(options.selection_fraction > 0.0 &&
-        options.selection_fraction < 1.0)) {
-    return Status::InvalidArgument("EFPA: selection_fraction in (0, 1)");
-  }
-  const double eps_select = epsilon * options.selection_fraction;
+  const double eps_select = epsilon * kSelectionFraction;
   const double eps_noise = epsilon - eps_select;
   const std::size_t n = counts.size();
 

@@ -29,16 +29,11 @@ namespace dpcopula::marginals {
 /// score is data-independent: for spiky, incompressible histograms (e.g.
 /// zipf margins) identity noise dominates any frequency truncation, and
 /// the exponential mechanism will pick it.
-struct EfpaOptions {
-  /// Fraction of the budget spent on the private selection of k.
-  double selection_fraction = 0.5;
-};
-
+///
 /// Publishes a noisy histogram with `epsilon`-DP. Output may contain
 /// negative values; callers clamp as needed.
 Result<std::vector<double>> PublishEfpaHistogram(
-    const std::vector<double>& counts, double epsilon, Rng* rng,
-    const EfpaOptions& options = {});
+    const std::vector<double>& counts, double epsilon, Rng* rng);
 
 /// Expected squared reconstruction error if k coefficients are kept:
 /// tail energy + k Laplace variances (exposed for tests/ablation).

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -9,6 +10,7 @@
 #include "hist/histogram.h"
 #include "hist/summed_area.h"
 #include "hist/wavelet.h"
+#include "reference/dct_reference.h"
 
 namespace dpcopula::hist {
 namespace {
@@ -312,6 +314,55 @@ TEST(DctTest, Linearity) {
   for (std::size_t i = 0; i < 40; ++i) {
     EXPECT_NEAR(cz[i], 2.0 * cx[i] - 3.0 * cy[i], 1e-10);
   }
+}
+
+double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
+  double max_diff = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    max_diff = std::max(max_diff, std::fabs(a[i] - b[i]));
+  }
+  return max_diff;
+}
+
+TEST(DctTest, MatchesReference) {
+  // Powers of two take the radix-2 path and every other length Bluestein's;
+  // 999-1248 spans the domains of a wide release.
+  Rng rng(53);
+  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 16u, 97u, 128u, 999u, 1000u,
+                        1024u, 1123u, 1248u, 4096u, 4099u}) {
+    const double nd = static_cast<double>(n);
+    std::vector<double> counts(n), gaussian(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double z = (static_cast<double>(i) - 0.4 * nd) / (0.2 * nd + 1.0);
+      counts[i] =
+          std::floor(1000.0 * std::exp(-0.5 * z * z) * rng.NextDouble());
+      gaussian[i] = rng.NextGaussian();
+    }
+    for (const std::vector<double>* x : {&counts, &gaussian}) {
+      const double tol =
+          1e-12 * std::sqrt(std::inner_product(x->begin(), x->end(),
+                                               x->begin(), 0.0));
+      EXPECT_LE(MaxAbsDiff(ForwardDct(*x), reference::ForwardDct(*x)), tol)
+          << "n=" << n;
+      EXPECT_LE(MaxAbsDiff(InverseDct(*x), reference::InverseDct(*x)), tol)
+          << "n=" << n;
+    }
+  }
+}
+
+TEST(DctTest, LargePrimeRoundTrip) {
+  // 65,537 is prime, so both directions take Bluestein's path with M = 2^18.
+  const std::size_t n = 65537;
+  Rng rng(59);
+  std::vector<double> x(n);
+  for (double& v : x) v = rng.NextGaussian();
+  const auto c = ForwardDct(x);
+  double max_abs = 0.0;
+  for (double v : x) max_abs = std::max(max_abs, std::fabs(v));
+  EXPECT_LE(MaxAbsDiff(InverseDct(c), x), 1e-12 * max_abs);
+  const double ex = std::inner_product(x.begin(), x.end(), x.begin(), 0.0);
+  const double ec = std::inner_product(c.begin(), c.end(), c.begin(), 0.0);
+  EXPECT_LE(std::fabs(ec - ex), 1e-12 * ex);
 }
 
 TEST(WaveletTest, NoiseInCoefficientDomainMapsToBoundedCellNoise) {

@@ -64,9 +64,6 @@ TEST(EfpaTest, ValidatesInput) {
   Rng rng(7);
   EXPECT_FALSE(PublishEfpaHistogram({}, 1.0, &rng).ok());
   EXPECT_FALSE(PublishEfpaHistogram({1.0}, 0.0, &rng).ok());
-  EfpaOptions bad;
-  bad.selection_fraction = 1.0;
-  EXPECT_FALSE(PublishEfpaHistogram({1.0, 2.0}, 1.0, &rng, bad).ok());
 }
 
 TEST(EfpaTest, ExpectedErrorTradeoff) {
