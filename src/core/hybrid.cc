@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/parallel.h"
@@ -14,15 +16,65 @@ namespace dpcopula::core {
 
 namespace {
 
-// Advances a mixed-radix counter over the small-attribute domains; returns
-// false when exhausted.
-bool AdvanceCombo(std::vector<std::int64_t>* combo,
-                  const std::vector<std::int64_t>& radix) {
-  for (std::size_t t = combo->size(); t-- > 0;) {
-    if (++(*combo)[t] < radix[t]) return true;
-    (*combo)[t] = 0;
+// The input's row indices grouped by partition: rows[begin[p], begin[p+1])
+// are partition p's rows, in input order.
+struct RowRanges {
+  std::vector<std::size_t> rows;
+  std::vector<std::size_t> begin;
+};
+
+// One pass over the small columns gives every row its partition index, the
+// mixed-radix number sum_t value_t * stride[t] (the last small attribute
+// varies fastest); a stable counting sort then groups the row indices by
+// that index. A small-column value outside its attribute's domain fails
+// closed here with Table::Validate's message, which names the column and
+// the domain, never the value.
+Result<RowRanges> SortRowsByPartition(
+    const data::Table& table, const std::vector<std::size_t>& small_cols,
+    const std::vector<std::size_t>& stride, std::size_t num_partitions) {
+  const std::size_t n = table.num_rows();
+  std::vector<std::size_t> key(n, 0);
+  for (std::size_t t = 0; t < small_cols.size(); ++t) {
+    const data::Attribute& attr = table.schema().attribute(small_cols[t]);
+    const auto domain = static_cast<double>(attr.domain_size);
+    const std::vector<double>& col = table.column(small_cols[t]);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double v = col[r];
+      // Inside [0, domain) the cast truncates, so only an integral value
+      // survives the round trip (cheaper than std::floor per cell).
+      if (!(v >= 0.0 && v < domain) ||
+          static_cast<double>(static_cast<std::size_t>(v)) != v) {
+        return Status::OutOfRange("column '" + attr.name +
+                                  "' has a value outside domain [0, " +
+                                  std::to_string(attr.domain_size) + ")");
+      }
+      key[r] += static_cast<std::size_t>(v) * stride[t];
+    }
   }
-  return false;
+  RowRanges ranges;
+  ranges.begin.assign(num_partitions + 1, 0);
+  for (std::size_t k : key) ++ranges.begin[k + 1];
+  for (std::size_t p = 0; p < num_partitions; ++p) {
+    ranges.begin[p + 1] += ranges.begin[p];
+  }
+  std::vector<std::size_t> next(ranges.begin.begin(), ranges.begin.end() - 1);
+  ranges.rows.resize(n);
+  for (std::size_t r = 0; r < n; ++r) ranges.rows[next[key[r]]++] = r;
+  return ranges;
+}
+
+// The listed rows of `cols`, as a table of `schema` (the projected schema).
+Result<data::Table> GatherRows(const data::Table& table,
+                               const std::vector<std::size_t>& cols,
+                               const data::Schema& schema,
+                               const std::size_t* rows, std::size_t count) {
+  std::vector<std::vector<double>> columns(cols.size());
+  for (std::size_t t = 0; t < cols.size(); ++t) {
+    const std::vector<double>& src = table.column(cols[t]);
+    columns[t].resize(count);
+    for (std::size_t i = 0; i < count; ++i) columns[t][i] = src[rows[i]];
+  }
+  return data::Table::FromColumns(schema, std::move(columns));
 }
 
 }  // namespace
@@ -34,6 +86,9 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
           "hybrid.partitions_synthesized");
   static obs::Counter* const partitions_skipped =
       obs::MetricsRegistry::Global().GetCounter("hybrid.partitions_skipped");
+  static obs::Counter* const partitions_degraded =
+      obs::MetricsRegistry::Global().GetCounter(
+          "hybrid.partitions_degraded");
   static obs::Gauge* const noisy_count_gauge =
       obs::MetricsRegistry::Global().GetGauge("hybrid.last_noisy_count");
   static obs::Histogram* const partition_seconds =
@@ -52,11 +107,13 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
   const auto& schema = table.schema();
 
   std::vector<std::size_t> small_cols, large_cols;
+  std::vector<data::Attribute> large_attrs;
   for (std::size_t j = 0; j < schema.num_attributes(); ++j) {
     if (schema.attribute(j).domain_size < options.small_domain_threshold) {
       small_cols.push_back(j);
     } else {
       large_cols.push_back(j);
+      large_attrs.push_back(schema.attribute(j));
     }
   }
 
@@ -78,17 +135,29 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
     return out;
   }
 
-  std::vector<std::int64_t> radix;
+  // Partition p is the mixed-radix number whose digit t, of weight
+  // stride[t], is the value of small column t; the last digit varies
+  // fastest.
+  std::vector<std::size_t> stride(small_cols.size());
   std::int64_t num_partitions = 1;
-  for (std::size_t c : small_cols) {
-    const std::int64_t d = schema.attribute(c).domain_size;
+  for (std::size_t t = small_cols.size(); t-- > 0;) {
+    const std::int64_t d = schema.attribute(small_cols[t]).domain_size;
     if (num_partitions > options.max_partitions / d) {
       return Status::ResourceExhausted(
           "hybrid: small-domain partition count exceeds max_partitions");
     }
+    stride[t] = static_cast<std::size_t>(num_partitions);
     num_partitions *= d;
-    radix.push_back(d);
   }
+  const auto partitions = static_cast<std::size_t>(num_partitions);
+  const double factor = options.inner.oversample_factor;
+  if (!(factor > 0.0)) {
+    return Status::InvalidArgument("oversample_factor must be > 0");
+  }
+  // Step 1, before any charge or RNG draw: each partition's input rows.
+  DPC_ASSIGN_OR_RETURN(
+      const RowRanges ranges,
+      SortRowsByPartition(table, small_cols, stride, partitions));
 
   const double eps_counts = options.epsilon * options.partition_count_fraction;
   const double eps_copula = options.epsilon - eps_counts;
@@ -97,7 +166,6 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
   out.num_partitions = num_partitions;
   out.epsilon_counts = eps_counts;
   out.epsilon_copula = eps_copula;
-  out.synthetic = data::Table(schema);
 
   // Top-level audit under parallel composition (Theorem 3.2): the
   // partitions are disjoint, so the noisy counts cost eps_counts once
@@ -116,38 +184,63 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
       .Field("epsilon_copula", eps_copula)
       .Field("threads", options.num_threads);
 
-  // Enumerate every small-attribute combination up front, then pre-split
-  // one RNG per partition (in combo order). Each partition's noise draws
-  // and inner DPCopula run consume only its own stream, so the release is
-  // bit-identical for any thread count — and for num_threads == 1.
-  std::vector<std::vector<std::int64_t>> combos;
-  combos.reserve(static_cast<std::size_t>(num_partitions));
-  std::vector<std::int64_t> combo(small_cols.size(), 0);
-  do {
-    combos.push_back(combo);
-  } while (AdvanceCombo(&combo, radix));
+  // One RNG per partition, pre-split in partition order. Each partition's
+  // noise draws and inner DPCopula run consume only its own stream, so the
+  // release is bit-identical for any thread count.
   std::vector<Rng> part_rngs;
-  part_rngs.reserve(combos.size());
-  for (std::size_t i = 0; i < combos.size(); ++i) {
+  part_rngs.reserve(partitions);
+  for (std::size_t p = 0; p < partitions; ++p) {
     part_rngs.push_back(rng->Split());
   }
 
-  struct PartitionOutput {
+  // Step 2: every noisy partition count, up front and in partition order
+  // (Lap(1/eps_counts); partitions are disjoint, so parallel composition
+  // charges eps_counts once overall). Each count stays the first draw on
+  // its partition's stream, ahead of that partition's inner run. A
+  // partition whose count rounds to <= 0 is skipped; any other gets an
+  // output block of the row count its inner run emits,
+  // llround(n_synth * oversample_factor).
+  struct Partition {
+    std::size_t synth_rows = 0;  // n_synth; 0 when skipped.
+    std::size_t out_begin = 0;
+    std::size_t out_rows = 0;
     Status status = Status::OK();
-    bool skipped = false;
     bool degraded = false;
-    data::Table synth;
   };
-  std::vector<PartitionOutput> parts(combos.size());
-  static obs::Counter* const partitions_degraded =
-      obs::MetricsRegistry::Global().GetCounter(
-          "hybrid.partitions_degraded");
+  std::vector<Partition> parts(partitions);
+  const Status too_many_rows =
+      Status::InvalidArgument("synthetic row count must be below 2^63");
+  std::size_t total_rows = 0;
+  for (std::size_t p = 0; p < partitions; ++p) {
+    const double noisy =
+        static_cast<double>(ranges.begin[p + 1] - ranges.begin[p]) +
+        stats::SampleLaplace(&part_rngs[p], 1.0 / eps_counts);
+    noisy_count_gauge->Set(noisy);
+    const double n_synth = std::round(noisy);
+    if (!(n_synth >= 1.0)) continue;
+    const double scaled = n_synth * factor;
+    // llround is only defined for results a long long can hold.
+    if (!(n_synth < 0x1p63 && scaled < 0x1p63)) return too_many_rows;
+    Partition& part = parts[p];
+    part.synth_rows = static_cast<std::size_t>(n_synth);
+    part.out_begin = total_rows;
+    part.out_rows = static_cast<std::size_t>(std::llround(scaled));
+    if (part.out_rows >= (std::size_t{1} << 63) - total_rows) {
+      return too_many_rows;
+    }
+    total_rows += part.out_rows;
+  }
+
+  // The whole release, allocated once; each worker writes only its
+  // partition's block.
+  out.synthetic = data::Table::Zeros(schema, total_rows);
+  const data::Schema large_schema(std::move(large_attrs));
 
   // Workers run on pool threads, so they attach their spans to the run
   // span through an explicit handle rather than the thread-local stack.
   const obs::SpanId run_span_id = run_span.id();
   ParallelFor(
-      0, combos.size(), /*grain=*/1,
+      0, partitions, /*grain=*/1,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t p = begin; p < end; ++p) {
           obs::Span part_span("hybrid.partition[" + std::to_string(p) + "]",
@@ -158,99 +251,82 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
           // partition index, so a fault schedule fires on the same
           // partitions for every thread count.
           failpoint::ScopedContext failpoint_ctx(p);
+          Partition& part = parts[p];
           if (DPC_FAILPOINT_AT("hybrid.partition.synthesize", p)) {
-            parts[p].status =
+            part.status =
                 failpoint::InjectedFault("hybrid.partition.synthesize");
             continue;
           }
-          const std::vector<std::int64_t>& c = combos[p];
-          Rng* part_rng = &part_rngs[p];
-          PartitionOutput& po = parts[p];
-
-          // Filter rows matching this small-attribute combination.
-          data::Table part = table;
-          for (std::size_t t = 0; t < small_cols.size(); ++t) {
-            part = part.Filter(small_cols[t], static_cast<double>(c[t]));
-          }
-
-          // Step 2: noisy partition count (Lap(1/eps_counts); partitions
-          // are disjoint, so parallel composition charges eps_counts once
-          // overall).
-          const double noisy =
-              static_cast<double>(part.num_rows()) +
-              stats::SampleLaplace(part_rng, 1.0 / eps_counts);
-          const auto n_synth =
-              static_cast<std::int64_t>(std::llround(noisy));
-          noisy_count_gauge->Set(noisy);
-          if (n_synth <= 0) {
-            po.skipped = true;
+          if (part.synth_rows == 0) {
             partitions_skipped->Increment();
             continue;
           }
           partitions_synthesized->Increment();
 
-          data::Table part_synth;
-          if (large_cols.empty()) {
-            // Degenerate: all attributes are small-domain — this is a
-            // noisy contingency table; emit n_synth copies of the combo.
-            part_synth =
-                data::Table::Zeros(schema, static_cast<std::size_t>(n_synth));
-            for (std::size_t t = 0; t < small_cols.size(); ++t) {
-              auto& col = part_synth.mutable_column(small_cols[t]);
-              std::fill(col.begin(), col.end(), static_cast<double>(c[t]));
-            }
-          } else {
-            // Step 3: DPCopula on the large-domain projection of this
-            // partition.
-            auto projected = part.Project(large_cols);
-            if (!projected.ok()) {
-              po.status = projected.status();
-              continue;
-            }
-            DpCopulaOptions inner = options.inner;
-            inner.epsilon = eps_copula;
-            inner.num_synthetic_rows = static_cast<std::size_t>(n_synth);
-            inner.allow_degraded_correlation =
-                options.allow_degraded_partitions;
-            auto res = Synthesize(*projected, inner, part_rng);
-            if (!res.ok()) {
-              po.status = res.status();
-              continue;
-            }
-            if (res->correlation_degraded) {
-              po.degraded = true;
-              partitions_degraded->Increment();
-              obs::Log(obs::LogLevel::kWarn, "hybrid.partition_degraded")
-                  .Field("partition", p);
-            }
-
-            // Reassemble in original column order.
-            part_synth =
-                data::Table::Zeros(schema, static_cast<std::size_t>(n_synth));
-            for (std::size_t t = 0; t < small_cols.size(); ++t) {
-              auto& col = part_synth.mutable_column(small_cols[t]);
-              std::fill(col.begin(), col.end(), static_cast<double>(c[t]));
-            }
-            for (std::size_t t = 0; t < large_cols.size(); ++t) {
-              part_synth.mutable_column(large_cols[t]) =
-                  res->synthetic.column(t);
-            }
+          // The block's small columns hold the partition's combination.
+          // With no large column that is the whole release: a noisy
+          // contingency table.
+          for (std::size_t t = 0; t < small_cols.size(); ++t) {
+            const std::size_t digit =
+                p / stride[t] %
+                static_cast<std::size_t>(
+                    schema.attribute(small_cols[t]).domain_size);
+            std::fill_n(
+                out.synthetic.mutable_column(small_cols[t]).data() +
+                    part.out_begin,
+                part.out_rows, static_cast<double>(digit));
           }
-          po.synth = std::move(part_synth);
+          if (large_cols.empty()) continue;
+
+          // Step 3: DPCopula on the large-domain columns of this
+          // partition's rows, copied into the block.
+          auto input = GatherRows(table, large_cols, large_schema,
+                                  ranges.rows.data() + ranges.begin[p],
+                                  ranges.begin[p + 1] - ranges.begin[p]);
+          if (!input.ok()) {
+            part.status = input.status();
+            continue;
+          }
+          DpCopulaOptions inner = options.inner;
+          inner.epsilon = eps_copula;
+          inner.num_synthetic_rows = part.synth_rows;
+          inner.allow_degraded_correlation =
+              options.allow_degraded_partitions;
+          auto res = Synthesize(*input, inner, &part_rngs[p]);
+          if (!res.ok()) {
+            part.status = res.status();
+            continue;
+          }
+          if (res->synthetic.num_rows() != part.out_rows) {
+            part.status = Status::Internal(
+                "hybrid: partition release does not match its block");
+            continue;
+          }
+          if (res->correlation_degraded) {
+            part.degraded = true;
+            partitions_degraded->Increment();
+            obs::Log(obs::LogLevel::kWarn, "hybrid.partition_degraded")
+                .Field("partition", p);
+          }
+          for (std::size_t t = 0; t < large_cols.size(); ++t) {
+            const std::vector<double>& src = res->synthetic.column(t);
+            std::copy(src.begin(), src.end(),
+                      out.synthetic.mutable_column(large_cols[t]).data() +
+                          part.out_begin);
+          }
         }
       },
       options.num_threads);
 
-  // Stitch partitions back together in combo order (deterministic output
-  // row order, independent of scheduling).
-  for (PartitionOutput& po : parts) {
-    DPC_RETURN_NOT_OK(po.status);
-    if (po.skipped) {
+  // The first failing partition in partition order decides the status, for
+  // every thread count; nothing is released on failure.
+  for (const Partition& part : parts) {
+    DPC_RETURN_NOT_OK(part.status);
+    if (part.synth_rows == 0) {
       ++out.num_skipped_partitions;
-      continue;
+    } else if (part.degraded) {
+      ++out.degraded_partitions;
     }
-    if (po.degraded) ++out.degraded_partitions;
-    DPC_RETURN_NOT_OK(out.synthetic.Concat(po.synth));
   }
   obs::Log(obs::LogLevel::kInfo, "hybrid.done")
       .Field("partitions", out.num_partitions)

@@ -32,6 +32,9 @@ struct HybridOptions {
   /// Options for the per-partition DPCopula runs. `epsilon` and
   /// `num_synthetic_rows` inside are ignored — the hybrid supplies
   /// (1 - partition_count_fraction) * epsilon and the noisy counts.
+  /// `oversample_factor` applies per partition: a partition with noisy
+  /// count n emits llround(n * oversample_factor) rows, every column of
+  /// them, in the contingency case (no large-domain attribute) too.
   DpCopulaOptions inner;
 
   /// Total privacy budget of the hybrid release.
@@ -50,11 +53,12 @@ struct HybridOptions {
 
   /// Worker threads (shared ThreadPool) for the per-partition DPCopula
   /// runs. Each partition's noise draws come from an RNG pre-split in
-  /// partition order, and partitions are concatenated in that same order,
-  /// so the release is bit-identical for any thread count. Inner synthesis
-  /// calls running on pool workers execute their own loops inline (no
-  /// nested oversubscription). 0 = hardware concurrency, <= 1 =
-  /// sequential.
+  /// partition order, and each partition writes its own block of the
+  /// output, blocks in that same order, so the release is bit-identical
+  /// for any thread count. Inner synthesis calls running on pool workers
+  /// execute their own loops inline (no nested oversubscription), so one
+  /// large partition runs single-threaded. 0 = hardware concurrency,
+  /// <= 1 = sequential.
   int num_threads = 1;
 };
 
@@ -78,7 +82,11 @@ struct HybridResult {
 /// Runs Algorithm 6. If the table has no small-domain attributes this
 /// degrades to plain DPCopula on the whole table (with the full budget); if
 /// it has only small-domain attributes it degrades to a noisy contingency
-/// table release. Output columns follow the input schema order.
+/// table release. Output columns follow the input schema order; output rows
+/// come in one block per partition, in partition order (the last
+/// small-domain attribute varies fastest). A small-domain value outside its
+/// attribute's domain is OutOfRange before any budget is charged or the
+/// RNG is drawn.
 Result<HybridResult> SynthesizeHybrid(const data::Table& table,
                                       const HybridOptions& options, Rng* rng);
 

@@ -55,20 +55,6 @@ Status Table::Validate() const {
   return Status::OK();
 }
 
-Table Table::Filter(std::size_t col, double value) const {
-  Table out(schema_);
-  std::vector<std::size_t> keep;
-  for (std::size_t r = 0; r < num_rows_; ++r) {
-    if (columns_[col][r] == value) keep.push_back(r);
-  }
-  out.num_rows_ = keep.size();
-  for (std::size_t j = 0; j < columns_.size(); ++j) {
-    out.columns_[j].reserve(keep.size());
-    for (std::size_t r : keep) out.columns_[j].push_back(columns_[j][r]);
-  }
-  return out;
-}
-
 Result<Table> Table::Project(const std::vector<std::size_t>& cols) const {
   std::vector<Attribute> attrs;
   attrs.reserve(cols.size());

@@ -48,9 +48,6 @@ class Table {
   /// names the column and the domain, never the offending value.
   Status Validate() const;
 
-  /// Rows whose column `col` equals `value` (used by the hybrid partitioner).
-  Table Filter(std::size_t col, double value) const;
-
   /// New table containing only the listed columns (schema is projected too).
   Result<Table> Project(const std::vector<std::size_t>& cols) const;
 

@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <map>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "core/dpcopula.h"
 #include "core/hybrid.h"
 #include "data/census.h"
 #include "data/generator.h"
+#include "reference/hybrid_reference.h"
 #include "stats/kendall.h"
 
 namespace dpcopula::core {
@@ -397,6 +401,13 @@ TEST(HybridTest, AllSmallDomainsBecomesContingencyTable) {
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->num_partitions, 4);
   EXPECT_NEAR(static_cast<double>(res->synthetic.num_rows()), 100.0, 30.0);
+  // The oversample factor sizes contingency blocks too.
+  Rng again(231);
+  opts.inner.oversample_factor = 2.0;
+  auto twice = SynthesizeHybrid(t, opts, &again);
+  ASSERT_TRUE(twice.ok());
+  EXPECT_EQ(twice->synthetic.num_rows(), 2 * res->synthetic.num_rows());
+  EXPECT_EQ(twice->synthetic.column(1).size(), twice->synthetic.num_rows());
 }
 
 TEST(HybridTest, ValidatesOptions) {
@@ -408,6 +419,22 @@ TEST(HybridTest, ValidatesOptions) {
   opts.epsilon = 1.0;
   opts.partition_count_fraction = 1.5;
   EXPECT_FALSE(SynthesizeHybrid(t, opts, &rng).ok());
+  // With a small-domain column the hybrid sizes the output itself: a
+  // factor that is not positive, or a row count llround cannot hold, is
+  // refused before the output is allocated.
+  data::Table mixed(data::Schema({{"flag", 2}, {"value", 100}}));
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(mixed.AppendRow({static_cast<double>(i % 2),
+                                 static_cast<double>(i)})
+                    .ok());
+  }
+  opts.partition_count_fraction = 0.1;
+  for (const double factor : {0.0, -1.0, 1e18}) {
+    opts.inner.oversample_factor = factor;
+    EXPECT_EQ(SynthesizeHybrid(mixed, opts, &rng).status().code(),
+              StatusCode::kInvalidArgument)
+        << "oversample_factor " << factor;
+  }
 }
 
 TEST(HybridTest, TooManyPartitionsRejected) {
@@ -524,6 +551,214 @@ TEST(HybridTest, BrazilCensusEndToEnd) {
   EXPECT_EQ(res->num_partitions, 8);  // gender x disability x nativity.
   EXPECT_TRUE(res->synthetic.schema() == t->schema());
   EXPECT_TRUE(res->synthetic.Validate().ok());
+}
+
+// Row counts and column sums of `table` per value of the small columns
+// `keys`, keyed by the joined values.
+struct PartitionStats {
+  std::size_t rows = 0;
+  std::vector<double> sums;
+  std::vector<double> sums_sq;
+};
+std::map<std::vector<double>, PartitionStats> StatsByPartition(
+    const data::Table& table, const std::vector<std::size_t>& keys) {
+  std::map<std::vector<double>, PartitionStats> stats;
+  for (std::size_t i = 0; i < table.num_rows(); ++i) {
+    std::vector<double> key;
+    for (std::size_t c : keys) key.push_back(table.column(c)[i]);
+    PartitionStats& s = stats[key];
+    s.sums.resize(table.num_columns());
+    s.sums_sq.resize(table.num_columns());
+    ++s.rows;
+    for (std::size_t j = 0; j < table.num_columns(); ++j) {
+      s.sums[j] += table.column(j)[i];
+      s.sums_sq[j] += table.column(j)[i] * table.column(j)[i];
+    }
+  }
+  return stats;
+}
+
+TEST(HybridTest, OversampledPartitionsKeepTheirRows) {
+  // With oversample_factor 2 every partition emits a block of twice its
+  // noisy count, every column of it. The noisy counts are the first draws
+  // on the partition streams and the inner fits consume the same draws, so
+  // each block samples the model of the 1x release: same partitions,
+  // twice the rows, and per-partition means of the large columns within
+  // sampling error of the 1x release's.
+  Rng data_rng(237);
+  auto t = data::GenerateBrazilCensus(4000, &data_rng);
+  ASSERT_TRUE(t.ok());
+  HybridOptions opts;
+  Rng rng1(239), rng2(239);
+  auto once = SynthesizeHybrid(*t, opts, &rng1);
+  opts.inner.oversample_factor = 2.0;
+  auto twice = SynthesizeHybrid(*t, opts, &rng2);
+  ASSERT_TRUE(once.ok()) << once.status().ToString();
+  ASSERT_TRUE(twice.ok()) << twice.status().ToString();
+  const data::Table& out = twice->synthetic;
+  for (std::size_t j = 0; j < out.num_columns(); ++j) {
+    EXPECT_EQ(out.column(j).size(), out.num_rows()) << "column " << j;
+  }
+  EXPECT_EQ(out.num_rows(), 2 * once->synthetic.num_rows());
+  EXPECT_TRUE(out.Validate().ok());
+
+  const std::vector<std::size_t> small{1, 2, 3};
+  const auto base = StatsByPartition(once->synthetic, small);
+  const auto over = StatsByPartition(out, small);
+  ASSERT_EQ(base.size(), over.size());
+  int compared = 0;
+  for (const auto& [key, b] : base) {
+    const auto it = over.find(key);
+    ASSERT_NE(it, over.end());
+    const PartitionStats& o = it->second;
+    EXPECT_EQ(o.rows, 2 * b.rows);
+    if (b.rows < 200) continue;
+    const double n = static_cast<double>(b.rows);
+    for (const std::size_t j : std::vector<std::size_t>{0, 4, 5, 6, 7}) {
+      const double mean = b.sums[j] / n;
+      const double var = std::max(0.0, b.sums_sq[j] / n - mean * mean);
+      const double se = std::sqrt(var * (1.0 / n + 1.0 / (2.0 * n)));
+      EXPECT_NEAR(o.sums[j] / static_cast<double>(o.rows), mean, 4.0 * se)
+          << "column " << j << " partition rows " << b.rows;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 0);
+}
+
+TEST(HybridTest, SmallValueOutsideDomainFailsBeforeAnyDraw) {
+  // The partition pass refuses such rows with Table::Validate's message
+  // (column and domain, never the value) before it charges budget or
+  // touches the caller's RNG.
+  for (const double bad :
+       {-1.0, 0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    data::Table t(data::Schema({{"age", 90}, {"gender", 2}, {"income", 200}}));
+    Rng data_rng(241);
+    for (int i = 0; i < 2000; ++i) {  // 300 bad gender cells.
+      const double gender = i % 20 < 3 ? bad : static_cast<double>(i % 2);
+      const auto age = static_cast<double>(data_rng.NextUint64Below(90));
+      const auto income = static_cast<double>(data_rng.NextUint64Below(200));
+      ASSERT_TRUE(t.AppendRow({age, gender, income}).ok());
+    }
+    Rng rng(243);
+    Rng untouched(243);
+    auto res = SynthesizeHybrid(t, HybridOptions{}, &rng);
+    ASSERT_FALSE(res.ok()) << "value " << bad;
+    EXPECT_EQ(res.status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(res.status().message(), t.Validate().message());
+    EXPECT_EQ(res.status().message(),
+              "column 'gender' has a value outside domain [0, 2)");
+    EXPECT_EQ(rng.NextUint64(), untouched.NextUint64()) << "value " << bad;
+  }
+}
+
+// Production and the copy-filter-concat oracle release the same bytes, or
+// fail with the same status. Returns the oracle's release, so a case can
+// check that it covers what it claims to.
+HybridResult ExpectMatchesReference(const data::Table& t,
+                                    const HybridOptions& opts,
+                                    std::uint64_t seed) {
+  Rng ref_rng(seed);
+  auto expected = reference::SynthesizeHybrid(t, opts, &ref_rng);
+  const std::uint64_t ref_next = ref_rng.NextUint64();
+  for (int threads : {1, 4}) {
+    HybridOptions threaded = opts;
+    threaded.num_threads = threads;
+    Rng rng(seed);
+    auto res = SynthesizeHybrid(t, threaded, &rng);
+    EXPECT_EQ(res.ok(), expected.ok())
+        << "threads=" << threads << ": " << res.status().ToString() << " vs "
+        << expected.status().ToString();
+    if (!res.ok() || !expected.ok()) {
+      EXPECT_EQ(res.status().ToString(), expected.status().ToString());
+      continue;
+    }
+    const data::Table& got = res->synthetic;
+    const data::Table& want = expected->synthetic;
+    EXPECT_TRUE(got.schema() == want.schema());
+    EXPECT_EQ(got.num_rows(), want.num_rows()) << "threads=" << threads;
+    for (std::size_t j = 0; j < got.num_columns(); ++j) {
+      if (got.column(j).size() != want.column(j).size()) {
+        ADD_FAILURE() << "threads=" << threads << " column " << j
+                      << " length " << got.column(j).size() << " vs "
+                      << want.column(j).size();
+        continue;
+      }
+      EXPECT_EQ(std::memcmp(got.column(j).data(), want.column(j).data(),
+                            got.column(j).size() * sizeof(double)),
+                0)
+          << "threads=" << threads << " column " << j;
+    }
+    EXPECT_EQ(res->num_partitions, expected->num_partitions);
+    EXPECT_EQ(res->num_skipped_partitions, expected->num_skipped_partitions);
+    EXPECT_EQ(res->degraded_partitions, expected->degraded_partitions);
+    EXPECT_EQ(rng.NextUint64(), ref_next) << "threads=" << threads;
+  }
+  if (expected.ok()) return std::move(expected).ValueOrDie();
+  HybridResult failed;
+  failed.synthetic = data::Table(t.schema());
+  return failed;
+}
+
+TEST(HybridTest, MatchesCopyFilterConcatReference) {
+  Rng data_rng(245);
+  auto census = data::GenerateBrazilCensus(3000, &data_rng);
+  ASSERT_TRUE(census.ok());
+  HybridOptions opts;
+  {
+    SCOPED_TRACE("small columns at positions 1-3");
+    ExpectMatchesReference(*census, opts, 11);
+  }
+  {
+    SCOPED_TRACE("small columns last");
+    auto last = census->Project({0, 4, 5, 6, 7, 1, 2, 3});
+    ASSERT_TRUE(last.ok());
+    ExpectMatchesReference(*last, opts, 12);
+  }
+  {
+    SCOPED_TRACE("all columns small (contingency table)");
+    auto small = census->Project({1, 2, 3});
+    ASSERT_TRUE(small.ok());
+    ExpectMatchesReference(*small, opts, 13);
+  }
+  {
+    SCOPED_TRACE("a combination with no rows");
+    data::Table t(data::Schema({{"x", 60}, {"g", 3}, {"y", 40}}));
+    for (int i = 0; i < 900; ++i) {  // g = 2 never occurs.
+      ASSERT_TRUE(t.AppendRow({static_cast<double>(i % 60),
+                               static_cast<double>(i % 2),
+                               static_cast<double>((i * 7) % 40)})
+                      .ok());
+    }
+    // Its noisy count is Laplace noise alone, positive for about half the
+    // seeds; at least one of these must synthesize the empty partition.
+    std::size_t empty_rows = 0;
+    for (std::uint64_t seed = 14; seed < 20; ++seed) {
+      const HybridResult ref = ExpectMatchesReference(t, opts, seed);
+      const std::vector<double>& g = ref.synthetic.column(1);
+      empty_rows +=
+          static_cast<std::size_t>(std::count(g.begin(), g.end(), 2.0));
+    }
+    EXPECT_GT(empty_rows, 0u);
+  }
+  {
+    SCOPED_TRACE("epsilon 0.05 skips partitions");
+    HybridOptions low = opts;
+    low.epsilon = 0.05;
+    EXPECT_GT(ExpectMatchesReference(*census, low, 20).num_skipped_partitions,
+              0);
+  }
+#if DPCOPULA_FAILPOINTS_ENABLED
+  {
+    SCOPED_TRACE("core.correlation_estimate armed 1in2");
+    ASSERT_TRUE(failpoint::Registry::Global()
+                    .Arm("core.correlation_estimate", "1in2")
+                    .ok());
+    const HybridResult ref = ExpectMatchesReference(*census, opts, 21);
+    failpoint::Registry::Global().DisarmAll();
+    EXPECT_GT(ref.degraded_partitions, 0);
+  }
+#endif  // DPCOPULA_FAILPOINTS_ENABLED
 }
 
 }  // namespace

@@ -77,17 +77,6 @@ TEST(TableTest, ValidateMessageCarriesNoCellValue) {
   EXPECT_EQ(messages[0], messages[2]);
 }
 
-TEST(TableTest, FilterSelectsMatchingRows) {
-  Table t(TwoColSchema());
-  ASSERT_TRUE(t.AppendRow({1, 0}).ok());
-  ASSERT_TRUE(t.AppendRow({2, 1}).ok());
-  ASSERT_TRUE(t.AppendRow({3, 0}).ok());
-  Table f = t.Filter(1, 0.0);
-  EXPECT_EQ(f.num_rows(), 2u);
-  EXPECT_DOUBLE_EQ(f.at(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(f.at(1, 0), 3.0);
-}
-
 TEST(TableTest, ProjectKeepsSelectedColumns) {
   Table t(TwoColSchema());
   ASSERT_TRUE(t.AppendRow({1, 2}).ok());
@@ -485,13 +474,6 @@ TEST(GeneratorTest, ShapeMismatchRejected) {
   auto corr = Equicorrelation(2, 0.1);
   ASSERT_TRUE(corr.ok());
   EXPECT_FALSE(GenerateGaussianDependent(specs, *corr, 10, &rng).ok());
-}
-
-TEST(TableTest, FilterOnEmptyTableAndNoMatches) {
-  Table t(TwoColSchema());
-  EXPECT_EQ(t.Filter(0, 1.0).num_rows(), 0u);
-  ASSERT_TRUE(t.AppendRow({1, 2}).ok());
-  EXPECT_EQ(t.Filter(0, 9.0).num_rows(), 0u);
 }
 
 TEST(TableTest, ProjectPreservesRowCount) {

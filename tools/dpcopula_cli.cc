@@ -14,7 +14,8 @@
 //   --family NAME       gaussian | t | auto (default gaussian)
 //   --t-dof X           fixed t dof; 0 = estimate privately (default 0)
 //   --no-hybrid         disable Algorithm 6 partitioning on small domains
-//   --rows N            synthetic rows (default: same as input)
+//   --rows N            synthetic rows (default: same as input); needs
+//                       --no-hybrid unless sampling with --model-in
 //   --oversample X      oversampling factor (default 1)
 //   --threads N         worker threads (0 = all hardware threads; default 0;
 //                       output is identical for every value)
@@ -23,7 +24,7 @@
 //                       (counted per reason) instead of failing (default 0)
 //   --strict-csv        fail on the first malformed input row (the default;
 //                       overrides --max-bad-rows)
-//   --model-out PATH    also save the fitted DP model (non-hybrid only)
+//   --model-out PATH    also save the fitted DP model; needs --no-hybrid
 //   --model-in PATH     skip fitting: load a saved model and sample from it
 //   --trace-json PATH   write a JSON run report (span tree, metrics, budget
 //                       audit) after the run; also enables tracing/metrics
@@ -184,6 +185,15 @@ int main(int argc, char** argv) {
   CliArgs args;
   if (!ParseArgs(argc, argv, &args)) {
     Usage(argv[0]);
+    return 2;
+  }
+  // A hybrid release fits one model per partition and sizes each partition
+  // from its noisy count, so it has neither one model to save nor a row
+  // count to honour.
+  if (args.hybrid && args.model_in.empty() &&
+      (!args.model_out.empty() || args.rows > 0)) {
+    std::fprintf(stderr, "%s needs --no-hybrid\n",
+                 args.model_out.empty() ? "--rows" : "--model-out");
     return 2;
   }
 
