@@ -1,22 +1,25 @@
 // Overhead of the observability layer on the end-to-end pipeline.
 //
-// Four runtime modes over identical Synthesize runs (same data, same
+// Three runtime modes over identical Synthesize runs (same data, same
 // seed, so the work is byte-identical by the determinism guarantee):
 //
-//   disabled         ObsConfig all off — one relaxed atomic load per
-//                    instrumentation site. This is the default for library
-//                    users and must stay within ~2% of a build with
+//   disabled         ObsConfig all off — at most two relaxed atomic loads
+//                    per instrumentation site. This is the default for
+//                    library users and must stay within ~2% of a build with
 //                    -DDPCOPULA_OBS=OFF (compare externally by rebuilding).
-//   metrics          counters/gauges/histograms on, tracing off.
-//   metrics+trace    spans recorded, as `dpcopula --trace-json` configures.
-//   metrics+prof     stage scopes live, as `dpcopula --profile` configures.
+//   metrics          counters, gauges and histograms on (the stage
+//                    histograms among them), tracing off.
+//   metrics+trace    spans recorded too, as `dpcopula --trace-json`
+//                    configures.
 //
-// Then micro-costs of the primitives themselves (Observe, Quantile,
-// StageScope both armed and disarmed), and finally the enforcement run:
-// the tiled sampler hot path with profiling on must stay within 2% of the
+// Then micro-costs of the primitives themselves (Observe, Quantile, and an
+// obs::Span off, armed with a histogram, and armed with a name and a
+// histogram), and finally the enforcement run: the tiled sampler hot path
+// with metrics on (every stage histogram live) must stay within 2% of the
 // same path with obs disabled — the budget DESIGN.md promises. A blown
 // budget exits non-zero; set DPCOPULA_BENCH_NO_ENFORCE=1 to report without
-// gating (e.g. on wildly noisy shared runners).
+// gating (e.g. on wildly noisy shared runners). The metrics+trace sampler
+// overhead is printed beside it, ungated.
 //
 // Reports median seconds per run and the overhead relative to `disabled`.
 // Run with DPCOPULA_BENCH_FULL=1 for a paper-scale table.
@@ -31,7 +34,6 @@
 #include "data/generator.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "stats/empirical_cdf.h"
 
@@ -71,7 +73,6 @@ void RunMicroCosts() {
 
   obs::ObsConfig on;
   on.metrics = true;
-  on.profile = true;
   obs::SetObsConfig(on);
   obs::MetricsRegistry::Global().ResetAll();
 
@@ -94,29 +95,44 @@ void RunMicroCosts() {
   const double quantile_ns =
       NanosPerOp(kQuantileIters, quantile_timer.Seconds());
 
-  bench::Timer armed_timer;
+  bench::Timer histogram_timer;
   for (std::size_t i = 0; i < kIters; ++i) {
-    obs::StageScope scope(obs::Stage::kTauPairs);
+    obs::Span span(h);
   }
-  const double scope_armed_ns = NanosPerOp(kIters, armed_timer.Seconds());
+  const double span_histogram_ns =
+      NanosPerOp(kIters, histogram_timer.Seconds());
+
+  // A named span appends a record; stay under the tracer cap so every one
+  // is recorded rather than counted as dropped.
+  constexpr std::size_t kNamedIters = obs::Tracer::kMaxSpans / 2;
+  on.trace = true;
+  obs::SetObsConfig(on);
+  obs::Tracer::Global().Reset();
+  bench::Timer named_timer;
+  for (std::size_t i = 0; i < kNamedIters; ++i) {
+    obs::Span span("tau_pairs", h);
+  }
+  const double span_named_ns = NanosPerOp(kNamedIters, named_timer.Seconds());
+  obs::Tracer::Global().Reset();
 
   obs::SetObsConfig(obs::ObsConfig{});
-  bench::Timer disarmed_timer;
+  bench::Timer off_timer;
   for (std::size_t i = 0; i < kIters; ++i) {
-    obs::StageScope scope(obs::Stage::kTauPairs);
+    obs::Span span("tau_pairs", h);
   }
-  const double scope_disarmed_ns = NanosPerOp(kIters, disarmed_timer.Seconds());
+  const double span_off_ns = NanosPerOp(kIters, off_timer.Seconds());
 
   std::printf("\n--- primitive micro-costs (ns/op) ---\n");
   bench::PrintSeriesHeader("primitive", {"ns_per_op"});
   bench::PrintSeriesRowLabel("observe", {observe_ns});
   bench::PrintSeriesRowLabel("quantile_p99", {quantile_ns});
-  bench::PrintSeriesRowLabel("scope_armed", {scope_armed_ns});
-  bench::PrintSeriesRowLabel("scope_off", {scope_disarmed_ns});
+  bench::PrintSeriesRowLabel("span_off", {span_off_ns});
+  bench::PrintSeriesRowLabel("span_histogram", {span_histogram_ns});
+  bench::PrintSeriesRowLabel("span_named", {span_named_ns});
 }
 
 // ---------------------------------------------------------------------------
-// Enforcement: profiled sampler hot path within 2% of the unprofiled one.
+// Enforcement: the sampler hot path with metrics on within 2% of obs off.
 
 double MedianSamplerSeconds(const data::Schema& schema,
                             const std::vector<stats::EmpiricalCdf>& cdfs,
@@ -160,20 +176,26 @@ int RunSamplerBudget(std::size_t rows) {
   MedianSamplerSeconds(schema, cdfs, corr, rows, 1);  // Warm-up.
   const double plain = MedianSamplerSeconds(schema, cdfs, corr, rows, kRepeats);
 
-  obs::ObsConfig profiled;
-  profiled.profile = true;
-  obs::SetObsConfig(profiled);
+  obs::ObsConfig config;
+  config.metrics = true;
+  obs::SetObsConfig(config);
   obs::MetricsRegistry::Global().ResetAll();
-  const double instrumented =
+  const double metrics =
       MedianSamplerSeconds(schema, cdfs, corr, rows, kRepeats);
+  config.trace = true;
+  obs::SetObsConfig(config);
+  obs::Tracer::Global().Reset();
+  const double traced = MedianSamplerSeconds(schema, cdfs, corr, rows, kRepeats);
   obs::SetObsConfig(obs::ObsConfig{});
 
-  const double overhead = 100.0 * (instrumented - plain) / plain;
-  std::printf("\n--- sampler hot path, profile budget (n=%zu, m=%zu) ---\n",
+  const double overhead = 100.0 * (metrics - plain) / plain;
+  std::printf("\n--- sampler hot path, metrics budget (n=%zu, m=%zu) ---\n",
               rows, kDims);
   bench::PrintSeriesHeader("mode", {"median_s", "overhead_%"});
-  bench::PrintSeriesRowLabel("uninstrumented", {plain, 0.0});
-  bench::PrintSeriesRowLabel("profiled", {instrumented, overhead});
+  bench::PrintSeriesRowLabel("disabled", {plain, 0.0});
+  bench::PrintSeriesRowLabel("metrics", {metrics, overhead});
+  bench::PrintSeriesRowLabel("metrics+trace (ungated)",
+                             {traced, 100.0 * (traced - plain) / plain});
 
   constexpr double kBudgetPercent = 2.0;
   if (overhead > kBudgetPercent) {
@@ -183,7 +205,7 @@ int RunSamplerBudget(std::size_t rows) {
       return 0;
     }
     std::fprintf(stderr,
-                 "FAIL: profiled sampler %.2f%% over uninstrumented "
+                 "FAIL: sampler with metrics on %.2f%% over obs off "
                  "(budget %.1f%%)\n",
                  overhead, kBudgetPercent);
     return 1;
@@ -223,16 +245,13 @@ int main() {
     const char* name;
     obs::ObsConfig config;
   };
-  std::vector<Mode> modes(4);
+  std::vector<Mode> modes(3);
   modes[0].name = "disabled";
   modes[1].name = "metrics";
   modes[1].config.metrics = true;
   modes[2].name = "metrics+trace";
   modes[2].config.metrics = true;
   modes[2].config.trace = true;
-  modes[3].name = "metrics+prof";
-  modes[3].config.metrics = true;
-  modes[3].config.profile = true;
 
   double baseline = 0.0;
   bench::PrintSeriesHeader("mode", {"median_s", "overhead_%"});

@@ -15,7 +15,6 @@
 #include "linalg/psd_repair.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "stats/distributions.h"
 #include "stats/kendall.h"
@@ -42,6 +41,16 @@ std::int64_t AdequateKendallSampleSize(std::size_t m, double epsilon2) {
 }
 
 namespace {
+
+// Registered at load, so every run report lists the stage (DESIGN.md §11).
+obs::Histogram* const kRankCacheBuildSeconds =
+    obs::MetricsRegistry::Global().GetHistogram(
+        "profile.rank_cache_build_seconds");
+obs::Histogram* const kTauPairsSeconds =
+    obs::MetricsRegistry::Global().GetHistogram("profile.tau_pairs_seconds");
+obs::Histogram* const kLaplaceNoiseSeconds =
+    obs::MetricsRegistry::Global().GetHistogram(
+        "profile.laplace_noise_seconds");
 
 /// First failure across a deterministic index space: the recorded status is
 /// the one with the lowest index, independent of which thread saw it first
@@ -144,12 +153,14 @@ Result<KendallEstimate> EstimateKendallCorrelation(
   std::vector<stats::RankColumn> ranks(m);
   {
     obs::Span rank_span("kendall.rank_build");
+    const obs::SpanId rank_span_id = rank_span.id();
     FirstFailure rank_failure;
     ParallelFor(
         0, m, /*grain=*/1,
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t j = begin; j < end; ++j) {
-            obs::StageScope stage(obs::Stage::kRankCacheBuild);
+            obs::Span stage("rank_cache_build", rank_span_id,
+                            kRankCacheBuildSeconds);
             auto built = stats::BuildRankColumn(*cols[j]);
             if (!built.ok()) {
               rank_failure.Record(j, built.status());
@@ -196,6 +207,7 @@ Result<KendallEstimate> EstimateKendallCorrelation(
     }
   }
   FirstFailure pair_failure;
+  const obs::SpanId estimate_span_id = estimate_span.id();
   ParallelFor(
       0, pairs.size(), /*grain=*/1,
       [&](std::size_t begin, std::size_t end) {
@@ -206,7 +218,7 @@ Result<KendallEstimate> EstimateKendallCorrelation(
         for (std::size_t i = begin; i < end; ++i) {
           Pair& pair = pairs[i];
           Result<double> tau = [&]() -> Result<double> {
-            obs::StageScope stage(obs::Stage::kTauPairs);
+            obs::Span stage("tau_pairs", estimate_span_id, kTauPairsSeconds);
             return DPC_FAILPOINT_AT("kendall.pair_tau", i)
                        ? Result<double>(
                              failpoint::InjectedFault("kendall.pair_tau"))
@@ -217,7 +229,8 @@ Result<KendallEstimate> EstimateKendallCorrelation(
             pair_failure.Record(i, tau.status());
             continue;
           }
-          obs::StageScope noise_stage(obs::Stage::kLaplaceNoise);
+          obs::Span noise_stage("laplace_noise", estimate_span_id,
+                                kLaplaceNoiseSeconds);
           double noisy_tau = *tau + stats::SampleLaplace(&pair.rng, scale);
           // Clamping into the valid tau range is post-processing and costs
           // no privacy.
@@ -246,14 +259,11 @@ Result<KendallEstimate> EstimateKendallCorrelation(
   est.laplace_scale = scale;
   est.contingency_pairs = contingency_pairs;
   est.repaired = !linalg::IsPositiveDefinite(p);
-  {
-    obs::Span repair_span("psd_repair");
-    if (est.repaired) repairs_counter->Increment();
-    linalg::PsdRepairOptions repair_options;
-    repair_options.num_threads = options.num_threads;
-    DPC_ASSIGN_OR_RETURN(est.correlation,
-                         linalg::EnsureCorrelationMatrix(p, repair_options));
-  }
+  if (est.repaired) repairs_counter->Increment();
+  linalg::PsdRepairOptions repair_options;
+  repair_options.num_threads = options.num_threads;
+  DPC_ASSIGN_OR_RETURN(est.correlation,
+                       linalg::EnsureCorrelationMatrix(p, repair_options));
   return est;
 }
 

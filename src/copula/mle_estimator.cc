@@ -16,7 +16,6 @@
 #include "linalg/psd_repair.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "stats/distributions.h"
 #include "stats/normal.h"
@@ -39,6 +38,11 @@ std::int64_t PaperMlePartitionCount(std::size_t m, double epsilon2) {
 }
 
 namespace {
+
+// Registered at load, so every run report lists the stage (DESIGN.md §11).
+obs::Histogram* const kMlePartitionFitSeconds =
+    obs::MetricsRegistry::Global().GetHistogram(
+        "profile.mle_partition_fit_seconds");
 
 /// Grow-once scratch for the batched kernel's per-column pseudo-observation
 /// pass; one instance per worker thread (same idiom as TauWorkspace).
@@ -319,9 +323,6 @@ Result<MleEstimate> EstimateMleCorrelation(const data::Table& table,
       obs::MetricsRegistry::Global().GetCounter("mle.psd_repairs");
   static obs::Gauge* const rows_per_partition_gauge =
       obs::MetricsRegistry::Global().GetGauge("mle.rows_per_partition");
-  static obs::Histogram* const fit_seconds =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "mle.partition_fit_seconds");
   obs::Span estimate_span("mle.estimate");
 
   const std::size_t m = table.num_columns();
@@ -419,10 +420,8 @@ Result<MleEstimate> EstimateMleCorrelation(const data::Table& table,
       0, static_cast<std::size_t>(l), /*grain=*/1,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t ti = begin; ti < end; ++ti) {
-          obs::Span fit_span("mle.partition_fit[" + std::to_string(ti) + "]",
-                             estimate_span_id);
-          obs::ScopedTimer fit_timer(fit_seconds);
-          obs::StageScope fit_stage(obs::Stage::kMlePartitionFit);
+          obs::Span fit_span("mle.partition_fit", ti, estimate_span_id,
+                             kMlePartitionFitSeconds);
           // Failpoint first, before the partition's data status: an armed
           // fault shadows a data error, the same way at every thread count.
           if (DPC_FAILPOINT_AT("mle.partition_fit", ti)) {
@@ -508,14 +507,11 @@ Result<MleEstimate> EstimateMleCorrelation(const data::Table& table,
   est.failed_partitions = failed;
   est.laplace_scale = scale;
   est.repaired = !linalg::IsPositiveDefinite(p);
-  {
-    obs::Span repair_span("psd_repair");
-    if (est.repaired) repairs_counter->Increment();
-    linalg::PsdRepairOptions repair_options;
-    repair_options.num_threads = options.num_threads;
-    DPC_ASSIGN_OR_RETURN(est.correlation,
-                         linalg::EnsureCorrelationMatrix(p, repair_options));
-  }
+  if (est.repaired) repairs_counter->Increment();
+  linalg::PsdRepairOptions repair_options;
+  repair_options.num_threads = options.num_threads;
+  DPC_ASSIGN_OR_RETURN(est.correlation,
+                       linalg::EnsureCorrelationMatrix(p, repair_options));
   return est;
 }
 

@@ -8,7 +8,7 @@
 #include "common/parallel.h"
 #include "linalg/cholesky.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
+#include "obs/trace.h"
 #include "stats/distributions.h"
 
 namespace dpcopula::copula {
@@ -35,6 +35,19 @@ obs::Histogram* ShardSecondsHistogram() {
       obs::MetricsRegistry::Global().GetHistogram("sampler.shard_seconds");
   return histogram;
 }
+
+// Registered at load, so every run report lists the stage (DESIGN.md §11).
+obs::Histogram* const kCholeskySeconds =
+    obs::MetricsRegistry::Global().GetHistogram("profile.cholesky_seconds");
+obs::Histogram* const kGaussianFillSeconds =
+    obs::MetricsRegistry::Global().GetHistogram(
+        "profile.gaussian_fill_seconds");
+obs::Histogram* const kCholeskyApplySeconds =
+    obs::MetricsRegistry::Global().GetHistogram(
+        "profile.cholesky_apply_seconds");
+obs::Histogram* const kInverseCdfSeconds =
+    obs::MetricsRegistry::Global().GetHistogram(
+        "profile.inverse_cdf_seconds");
 
 Status ValidateMargins(const data::Schema& schema,
                        const std::vector<stats::EmpiricalCdf>& marginal_cdfs) {
@@ -102,11 +115,11 @@ Result<SamplingPlan> SamplingPlan::Gaussian(
   if (correlation.rows() != m || correlation.cols() != m) {
     return Status::InvalidArgument("correlation shape mismatch");
   }
-  // The factorization is profiled here rather than inside linalg: PSD
+  // The factorization is timed here rather than inside linalg: PSD
   // repair also runs CholeskyDecompose internally (the PD probe), and
   // stages must stay disjoint.
   DPC_ASSIGN_OR_RETURN(linalg::Matrix chol, [&] {
-    obs::StageScope stage(obs::Stage::kCholesky);
+    obs::Span stage("cholesky", kCholeskySeconds);
     return linalg::CholeskyDecompose(correlation);
   }());
   SamplingPlan plan(schema, marginal_cdfs);
@@ -165,7 +178,9 @@ Result<data::Table> SamplingPlan::Sample(std::size_t num_rows, Rng* rng,
   ParallelForSharded(
       0, num_rows, kSamplerShardRows, rng,
       [&](std::size_t row_begin, std::size_t row_end, Rng* shard_rng) {
-        obs::ScopedTimer shard_timer(ShardSecondsHistogram());
+        // Per-shard and per-tile scopes are histogram-only: a span record
+        // per tile would scale the trace with the row count.
+        obs::Span shard_timer(ShardSecondsHistogram());
         const auto shard_rows = static_cast<std::int64_t>(row_end - row_begin);
         RowsEmittedCounter()->Add(shard_rows);
         if (student_t) TRowsEmittedCounter()->Add(shard_rows);
@@ -187,7 +202,7 @@ Result<data::Table> SamplingPlan::Sample(std::size_t num_rows, Rng* rng,
             // tile gives every column tile_rows fresh draws; a full tile
             // draws the same m * kSamplerTileRows values in the same order
             // as one contiguous fill.
-            obs::StageScope stage(obs::Stage::kGaussianFill);
+            obs::Span stage(kGaussianFillSeconds);
             for (std::size_t k = 0; k < m; ++k) {
               shard_rng->FillGaussian(scratch.z.data() + k * kSamplerTileRows,
                                       tile_rows);
@@ -200,11 +215,11 @@ Result<data::Table> SamplingPlan::Sample(std::size_t num_rows, Rng* rng,
             }
           }
           {
-            obs::StageScope stage(obs::Stage::kCholeskyApply);
+            obs::Span stage(kCholeskyApplySeconds);
             ApplyCholeskyTile(chol_, m, tile_rows, scratch.z.data(),
                               scratch.w.data());
           }
-          obs::StageScope stage(obs::Stage::kInverseCdf);
+          obs::Span stage(kInverseCdfSeconds);
           for (std::size_t j = 0; j < m; ++j) {
             double* col = out.mutable_column(j).data() + tile;
             const double* wj = scratch.w.data() + j * kSamplerTileRows;

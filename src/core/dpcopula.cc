@@ -11,13 +11,17 @@
 #include "marginals/postprocess.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "stats/empirical_cdf.h"
 
 namespace dpcopula::core {
 
 namespace {
+
+// Registered at load, so every run report lists the stage (DESIGN.md §11).
+obs::Histogram* const kMarginPublishSeconds =
+    obs::MetricsRegistry::Global().GetHistogram(
+        "profile.margin_publish_seconds");
 
 /// The release is only valid if the charge log accounts for exactly the
 /// advertised budget: an overspend is a privacy violation, an underspend
@@ -79,8 +83,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
       obs::MetricsRegistry::Global().GetCounter("core.synthesize_runs");
   static obs::Histogram* const run_seconds =
       obs::MetricsRegistry::Global().GetHistogram("core.synthesize_seconds");
-  obs::Span run_span("synthesize");
-  obs::ScopedTimer run_timer(run_seconds);
+  obs::Span run_span("synthesize", run_seconds);
   runs_counter->Increment();
 
   const std::size_t m = table.num_columns();
@@ -144,7 +147,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
   {
     obs::Span margins_span("margins");
     for (std::size_t j = 0; j < m; ++j) {
-      obs::StageScope stage(obs::Stage::kMarginPublish);
+      obs::Span stage("margin_publish", kMarginPublishSeconds);
       DPC_RETURN_NOT_OK(result.budget.Charge(
           eps_per_margin, "margin:" + table.schema().attribute(j).name,
           /*sensitivity=*/1.0));

@@ -243,9 +243,8 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
       0, partitions, /*grain=*/1,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t p = begin; p < end; ++p) {
-          obs::Span part_span("hybrid.partition[" + std::to_string(p) + "]",
-                              run_span_id);
-          obs::ScopedTimer part_timer(partition_seconds);
+          obs::Span part_span("hybrid.partition", p, run_span_id,
+                              partition_seconds);
           // Key any fail point evaluated inside this partition's work —
           // including generic sites deep in the inner Synthesize — to the
           // partition index, so a fault schedule fires on the same

@@ -14,9 +14,17 @@
 #include "common/parse_number.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
+#include "obs/trace.h"
 
 namespace dpcopula::data {
+
+namespace {
+// Registered at load, so every run report lists the stage (DESIGN.md §11).
+obs::Histogram* const kCsvReadSeconds =
+    obs::MetricsRegistry::Global().GetHistogram("profile.csv_read_seconds");
+obs::Histogram* const kCsvWriteSeconds =
+    obs::MetricsRegistry::Global().GetHistogram("profile.csv_write_seconds");
+}  // namespace
 
 char* FormatCsvRow(const Table& table, std::size_t row, char* out) {
   for (std::size_t j = 0; j < table.num_columns(); ++j) {
@@ -29,7 +37,7 @@ char* FormatCsvRow(const Table& table, std::size_t row, char* out) {
 }
 
 Status WriteCsv(const Table& table, const std::string& path) {
-  obs::StageScope stage(obs::Stage::kCsvWrite);
+  obs::Span span("csv_write", kCsvWriteSeconds);
   return WriteFileAtomic(path, [&](std::ostream& out) -> Status {
     const auto& schema = table.schema();
     std::string header;
@@ -201,7 +209,7 @@ constexpr double kMaxInferredValue = 0x1p62;
 Result<CsvReadResult> ReadCsvImpl(const std::string& path,
                                   const Schema* schema,
                                   const ReadCsvOptions& options) {
-  obs::StageScope stage(obs::Stage::kCsvRead);
+  obs::Span span("csv_read", kCsvReadSeconds);
   static obs::Counter* const quarantined_counter =
       obs::MetricsRegistry::Global().GetCounter("csv.rows_quarantined");
 

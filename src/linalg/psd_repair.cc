@@ -8,11 +8,15 @@
 #include "linalg/eigen_sym.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
+#include "obs/trace.h"
 
 namespace dpcopula::linalg {
 
 namespace {
+
+// Registered at load, so every run report lists the stage (DESIGN.md §11).
+obs::Histogram* const kPsdRepairSeconds =
+    obs::MetricsRegistry::Global().GetHistogram("profile.psd_repair_seconds");
 
 // Rescales a symmetric PSD matrix to unit diagonal and clamps off-diagonal
 // entries into [-1, 1]. A lifted spectrum makes every reconstructed
@@ -114,8 +118,8 @@ Result<Matrix> RepairToCorrelation(const Matrix& a,
 Result<Matrix> EnsureCorrelationMatrix(const Matrix& a,
                                        const PsdRepairOptions& options) {
   // Covers both the PD probe and (when needed) the eigen repair; the
-  // sampler's own factorization is profiled separately as "cholesky".
-  obs::StageScope stage(obs::Stage::kPsdRepair);
+  // sampler's own factorization is timed separately as "cholesky".
+  obs::Span span("psd_repair", kPsdRepairSeconds);
   if (a.rows() != a.cols() || !a.IsSymmetric(1e-9)) {
     return Status::InvalidArgument(
         "EnsureCorrelationMatrix requires a square symmetric matrix");

@@ -5,6 +5,7 @@
 #include "marginals/noisefirst.h"
 #include "marginals/structurefirst.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace dpcopula::marginals {
 
@@ -71,7 +72,7 @@ Result<std::vector<double>> PublishMarginal(MarginalMethod method,
                                             double epsilon, Rng* rng) {
   MethodMetrics& metrics = MetricsFor(method);
   metrics.publishes->Increment();
-  obs::ScopedTimer timer(metrics.publish_seconds);
+  obs::Span timer(metrics.publish_seconds);
   switch (method) {
     case MarginalMethod::kEfpa:
       return PublishEfpaHistogram(counts, epsilon, rng);

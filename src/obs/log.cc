@@ -8,7 +8,6 @@ namespace internal {
 std::atomic<int> g_log_level{static_cast<int>(LogLevel::kOff)};
 std::atomic<bool> g_metrics_enabled{false};
 std::atomic<bool> g_trace_enabled{false};
-std::atomic<bool> g_profile_enabled{false};
 
 int ThreadIndex() {
   static std::atomic<int> next{0};
@@ -50,13 +49,9 @@ bool ParseLogLevel(const std::string& name, LogLevel* out) {
 void SetObsConfig(const ObsConfig& config) {
   internal::g_log_level.store(static_cast<int>(config.log_level),
                               std::memory_order_relaxed);
-  // Stage timings record through MetricsRegistry histograms, so profiling
-  // without metrics would silently record nothing; imply metrics instead.
-  internal::g_metrics_enabled.store(config.metrics || config.profile,
+  internal::g_metrics_enabled.store(config.metrics,
                                     std::memory_order_relaxed);
   internal::g_trace_enabled.store(config.trace, std::memory_order_relaxed);
-  internal::g_profile_enabled.store(config.profile,
-                                    std::memory_order_relaxed);
 }
 
 ObsConfig GetObsConfig() {
@@ -66,8 +61,6 @@ ObsConfig GetObsConfig() {
   config.metrics =
       internal::g_metrics_enabled.load(std::memory_order_relaxed);
   config.trace = internal::g_trace_enabled.load(std::memory_order_relaxed);
-  config.profile =
-      internal::g_profile_enabled.load(std::memory_order_relaxed);
   return config;
 }
 

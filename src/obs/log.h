@@ -34,8 +34,8 @@ const char* LogLevelName(LogLevel level);
 bool ParseLogLevel(const std::string& name, LogLevel* out);
 
 /// Runtime switchboard for the observability layer. All three subsystems
-/// are off by default: a library user who never touches obs:: pays one
-/// relaxed atomic load per instrumentation site and nothing else.
+/// are off by default: a library user who never touches obs:: pays at most
+/// two relaxed atomic loads per instrumentation site and nothing else.
 ///
 /// None of the switches may affect released bytes: instrumentation reads
 /// clocks and bumps counters but never touches an Rng or changes control
@@ -44,10 +44,6 @@ struct ObsConfig {
   LogLevel log_level = LogLevel::kOff;
   bool metrics = false;  // MetricsRegistry updates.
   bool trace = false;    // Span recording.
-  // Stage profiling (obs/profile.h): StageScope timings into the
-  // profile.* histograms. The profile histograms live in the
-  // MetricsRegistry, so enabling profiling implies metrics.
-  bool profile = false;
 };
 
 /// Installs `config` process-wide. Safe to call at any time; individual
@@ -62,7 +58,6 @@ namespace internal {
 extern std::atomic<int> g_log_level;
 extern std::atomic<bool> g_metrics_enabled;
 extern std::atomic<bool> g_trace_enabled;
-extern std::atomic<bool> g_profile_enabled;
 
 /// Small dense per-thread index (0, 1, 2, ...) used for metric sharding and
 /// span thread attribution. Assigned on first use per thread.
@@ -91,14 +86,6 @@ inline bool MetricsEnabled() {
 inline bool TraceEnabled() {
 #if DPCOPULA_OBS_ENABLED
   return internal::g_trace_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
-}
-
-inline bool ProfilingEnabled() {
-#if DPCOPULA_OBS_ENABLED
-  return internal::g_profile_enabled.load(std::memory_order_relaxed);
 #else
   return false;
 #endif

@@ -36,13 +36,16 @@ double Histogram::BucketUpperBound(int i) {
 }
 
 void Histogram::Observe(double seconds) {
-#if DPCOPULA_OBS_ENABLED
-  if (!MetricsEnabled()) return;
   if (!(seconds >= 0.0) || !std::isfinite(seconds)) seconds = 0.0;
   // 2^62 ns headroom before the double->int64 cast could overflow; the
   // index computation clamps into the overflow bucket far earlier anyway.
-  const double capped = std::min(seconds * 1e9, 4.6e18);
-  const auto nanos = static_cast<std::int64_t>(capped);
+  ObserveNanos(static_cast<std::int64_t>(std::min(seconds * 1e9, 4.6e18)));
+}
+
+void Histogram::ObserveNanos(std::int64_t nanos) {
+#if DPCOPULA_OBS_ENABLED
+  if (!MetricsEnabled()) return;
+  if (nanos < 0) nanos = 0;
   buckets_[BucketIndex(nanos)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_nanos_.fetch_add(nanos, std::memory_order_relaxed);
@@ -53,7 +56,7 @@ void Histogram::Observe(double seconds) {
                              seen, nanos, std::memory_order_relaxed)) {
   }
 #else
-  (void)seconds;
+  (void)nanos;
 #endif
 }
 

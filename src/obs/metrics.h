@@ -2,7 +2,6 @@
 #define DPCOPULA_OBS_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -112,6 +111,9 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Observe(double seconds);
+  /// Observe() of a duration already in integer nanoseconds (negative
+  /// durations record as 0).
+  void ObserveNanos(std::int64_t nanos);
 
   std::int64_t Count() const {
     return count_.load(std::memory_order_relaxed);
@@ -162,31 +164,6 @@ class Histogram {
   std::atomic<std::int64_t> count_{0};
   std::atomic<std::int64_t> sum_nanos_{0};
   std::atomic<std::int64_t> max_nanos_{0};
-};
-
-/// RAII wall-clock timer feeding a Histogram. Reads the steady clock only
-/// when metrics are enabled.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* histogram)
-      : histogram_(MetricsEnabled() ? histogram : nullptr) {
-    if (histogram_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~ScopedTimer() {
-    if (histogram_ != nullptr) {
-      histogram_->Observe(std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start_)
-                              .count());
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* histogram_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Process-wide registry. Metrics are created on first lookup and live for

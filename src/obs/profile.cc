@@ -1,7 +1,8 @@
 #include "obs/profile.h"
 
 #include <cstring>
-#include <string>
+
+#include "obs/metrics.h"
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
@@ -12,57 +13,6 @@
 #endif
 
 namespace dpcopula::obs {
-
-const char* StageName(Stage stage) {
-  switch (stage) {
-    case Stage::kCsvRead:
-      return "csv_read";
-    case Stage::kCsvWrite:
-      return "csv_write";
-    case Stage::kMarginPublish:
-      return "margin_publish";
-    case Stage::kRankCacheBuild:
-      return "rank_cache_build";
-    case Stage::kTauPairs:
-      return "tau_pairs";
-    case Stage::kLaplaceNoise:
-      return "laplace_noise";
-    case Stage::kMlePartitionFit:
-      return "mle_partition_fit";
-    case Stage::kPsdRepair:
-      return "psd_repair";
-    case Stage::kCholesky:
-      return "cholesky";
-    case Stage::kGaussianFill:
-      return "gaussian_fill";
-    case Stage::kCholeskyApply:
-      return "cholesky_apply";
-    case Stage::kInverseCdf:
-      return "inverse_cdf";
-    case Stage::kNumStages:
-      break;
-  }
-  return "unknown";
-}
-
-StageProfiler::StageProfiler() {
-  for (int i = 0; i < kNumProfileStages; ++i) {
-    histograms_[i] = MetricsRegistry::Global().GetHistogram(
-        std::string("profile.") + StageName(static_cast<Stage>(i)) +
-        "_seconds");
-  }
-}
-
-StageProfiler& StageProfiler::Global() {
-  // Leaked on purpose, like the registry it points into: StageScopes may
-  // fire during static destruction.
-  static StageProfiler* profiler = new StageProfiler();
-  return *profiler;
-}
-
-void StageProfiler::Reset() {
-  for (Histogram* h : histograms_) h->Reset();
-}
 
 std::int64_t PeakRssBytes() {
 #if defined(__linux__)
@@ -157,14 +107,9 @@ HwCounterSample HwCounterGroup::Stop() { return HwCounterSample{}; }
 
 #endif  // __linux__
 
-ProfileSession::ProfileSession() {
-  if (!ProfilingEnabled()) return;
-  active_ = true;
-  counters_.Start();
-}
+ProfileSession::ProfileSession() { counters_.Start(); }
 
 ProfileSession::~ProfileSession() {
-  if (!active_) return;
   const HwCounterSample sample = counters_.Stop();
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetGauge("profile.peak_rss_bytes")

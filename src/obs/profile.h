@@ -1,99 +1,9 @@
 #ifndef DPCOPULA_OBS_PROFILE_H_
 #define DPCOPULA_OBS_PROFILE_H_
 
-#include <chrono>
 #include <cstdint>
-#include <string>
-
-#include "obs/log.h"
-#include "obs/metrics.h"
 
 namespace dpcopula::obs {
-
-/// Pipeline stages of a Synthesize call, fixed at compile time so a
-/// StageScope is an array index away from its histogram — no map lookup,
-/// no lock, no allocation on any hot path.
-///
-/// Stages are *leaf-level and disjoint*: no StageScope may execute inside
-/// another StageScope (the stage-sum test in profile_test enforces the
-/// consequence — with one thread, the per-stage totals sum to the wall
-/// time of the pipeline, minus only unscoped glue). Scopes that run inside
-/// ParallelFor workers accumulate worker time, so with T threads the
-/// per-stage totals approach CPU seconds, not wall seconds.
-enum class Stage : int {
-  kCsvRead = 0,       // data::ReadCsv / ReadCsvTolerant.
-  kCsvWrite,          // data::WriteCsv.
-  kMarginPublish,     // One DP marginal: histogram + noise + CDF rebuild.
-  kRankCacheBuild,    // stats::BuildRankColumn per column (Kendall).
-  kTauPairs,          // One pairwise tau kernel invocation.
-  kLaplaceNoise,      // Noise + clamp + sin transform of one tau.
-  kMlePartitionFit,   // One MLE partition fit (either kernel).
-  kPsdRepair,         // linalg::EnsureCorrelationMatrix.
-  kCholesky,          // Cholesky decomposition ahead of sampling.
-  kGaussianFill,      // Ziggurat Gaussian fill of one sampler tile.
-  kCholeskyApply,     // Blocked triangular mat-mul over one tile.
-  kInverseCdf,        // Guide-table inverse-CDF lookups of one tile.
-  kNumStages,  // Sentinel, not a stage.
-};
-
-inline constexpr int kNumProfileStages = static_cast<int>(Stage::kNumStages);
-
-/// Stable snake_case stage name ("csv_read", "tau_pairs", ...).
-const char* StageName(Stage stage);
-
-/// Fixed array of per-stage histograms, registered in the global
-/// MetricsRegistry as "profile.<stage>_seconds" so stage percentiles flow
-/// into Snapshot() and the JSON run report with zero extra plumbing.
-/// Construction (first Global() call) takes the registry mutex once per
-/// stage; after that every lookup is an array load.
-class StageProfiler {
- public:
-  static StageProfiler& Global();
-
-  Histogram* histogram(Stage stage) const {
-    return histograms_[static_cast<int>(stage)];
-  }
-
-  /// Zeroes every stage histogram (registrations survive).
-  void Reset();
-
- private:
-  StageProfiler();
-  Histogram* histograms_[kNumProfileStages];
-};
-
-/// RAII stage timer. When profiling is disabled (runtime or compile-time)
-/// construction is one relaxed atomic load; no clock is read and nothing
-/// is recorded. Safe on ParallelFor workers — the histogram update is
-/// lock-free.
-class StageScope {
- public:
-  explicit StageScope(Stage stage) {
-#if DPCOPULA_OBS_ENABLED
-    if (!ProfilingEnabled()) return;
-    histogram_ = StageProfiler::Global().histogram(stage);
-    start_ = std::chrono::steady_clock::now();
-#else
-    (void)stage;
-#endif
-  }
-  ~StageScope() {
-#if DPCOPULA_OBS_ENABLED
-    if (histogram_ == nullptr) return;
-    histogram_->Observe(std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start_)
-                            .count());
-#endif
-  }
-  StageScope(const StageScope&) = delete;
-  StageScope& operator=(const StageScope&) = delete;
-
- private:
-#if DPCOPULA_OBS_ENABLED
-  Histogram* histogram_ = nullptr;
-  std::chrono::steady_clock::time_point start_;
-#endif
-};
 
 /// Peak resident set size of this process in bytes (getrusage ru_maxrss),
 /// 0 when the platform cannot report it. Monotone over the process life —
@@ -137,8 +47,8 @@ class HwCounterGroup {
   int fd_cache_misses_ = -1;
 };
 
-/// Session wrapper for the CLIs: when profiling is enabled, starts the
-/// hardware counters on construction and on destruction publishes
+/// Process-level samples for a run report: starts the hardware counters on
+/// construction and on destruction publishes (while metrics are on)
 ///
 ///   profile.peak_rss_bytes    gauge, getrusage high-water mark
 ///   profile.hw_available      gauge, 1 when counters were live
@@ -147,6 +57,7 @@ class HwCounterGroup {
 ///   profile.hw_cache_misses   gauge, 0 when unavailable
 ///
 /// so the run report and dpcopula_report pick them up like any metric.
+/// The tools run one whenever a run report is requested (--trace-json).
 class ProfileSession {
  public:
   ProfileSession();
@@ -155,7 +66,6 @@ class ProfileSession {
   ProfileSession& operator=(const ProfileSession&) = delete;
 
  private:
-  bool active_ = false;
   HwCounterGroup counters_;
 };
 

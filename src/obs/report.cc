@@ -1,9 +1,10 @@
 #include "obs/report.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
+#include <ostream>
 
+#include "common/atomic_file.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -200,16 +201,10 @@ std::string RenderRunReportJson(const BudgetAudit* audit) {
 
 Status WriteRunReport(const std::string& path, const BudgetAudit* audit) {
   const std::string json = RenderRunReportJson(audit);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open trace report file: " + path);
-  }
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != json.size() || !close_ok) {
-    return Status::IOError("short write to trace report file: " + path);
-  }
-  return Status::OK();
+  return WriteFileAtomic(path, [&](std::ostream& out) {
+    out.write(json.data(), static_cast<std::streamsize>(json.size()));
+    return Status::OK();
+  });
 }
 
 }  // namespace dpcopula::obs

@@ -61,7 +61,8 @@ inline BudgetAudit AuditFrom(const dp::BudgetAccountant& accountant) {
 /// doubles printed with %.17g round-trip precision).
 std::string RenderRunReportJson(const BudgetAudit* audit);
 
-/// Renders the report and writes it to `path` (overwriting).
+/// Renders the report and replaces `path` with it atomically
+/// (WriteFileAtomic): a failed write leaves no truncated report.
 Status WriteRunReport(const std::string& path, const BudgetAudit* audit);
 
 }  // namespace dpcopula::obs

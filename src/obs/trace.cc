@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -23,9 +24,19 @@ SpanId ExchangeCurrentSpan(SpanId id) {
 }  // namespace internal
 
 namespace {
-std::int64_t SteadyNowNanos() {
+std::int64_t SteadyNanos(std::chrono::steady_clock::time_point t) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
+             t.time_since_epoch())
+      .count();
+}
+
+std::int64_t SteadyNowNanos() {
+  return SteadyNanos(std::chrono::steady_clock::now());
+}
+
+std::int64_t UnixNowMillis() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
       .count();
 }
 }  // namespace
@@ -33,10 +44,12 @@ std::int64_t SteadyNowNanos() {
 struct Tracer::Impl {
   std::atomic<std::uint64_t> next_id{1};
   std::atomic<std::int64_t> dropped{0};
-  // Steady-clock nanos of the current epoch; atomic so Reset() can race
-  // with span creation without a TSan report (observability tolerates a
-  // torn epoch, the release never depends on it).
+  // The current epoch on the steady clock and on the wall clock; atomic
+  // so Reset() can race with finishing spans without a TSan report
+  // (observability tolerates a torn epoch, the release never depends on
+  // it).
   std::atomic<std::int64_t> epoch_nanos{SteadyNowNanos()};
+  std::atomic<std::int64_t> epoch_unix_ms{UnixNowMillis()};
   mutable std::mutex mu;
   std::vector<SpanRecord> records;
 };
@@ -56,6 +69,7 @@ void Tracer::Reset() {
   impl_->dropped.store(0, std::memory_order_relaxed);
   impl_->next_id.store(1, std::memory_order_relaxed);
   impl_->epoch_nanos.store(SteadyNowNanos(), std::memory_order_relaxed);
+  impl_->epoch_unix_ms.store(UnixNowMillis(), std::memory_order_relaxed);
 }
 
 std::vector<SpanRecord> Tracer::Snapshot() const {
@@ -87,47 +101,40 @@ void Tracer::Record(SpanRecord record) {
   dropped_counter->Increment();
 }
 
-Span::Span(std::string name, SpanId explicit_parent) {
-#if DPCOPULA_OBS_ENABLED
-  if (!TraceEnabled()) return;
-  Tracer& tracer = Tracer::Global();
-  id_ = tracer.NextId();
-  name_ = std::move(name);
-  parent_ = explicit_parent == kUseThreadLocal ? internal::CurrentSpan()
-                                               : explicit_parent;
+void Span::Begin(const char* name, std::size_t index, SpanId parent) {
+  name_ = name;
+  index_ = index;
+  id_ = Tracer::Global().NextId();
+  parent_ = parent == kUseThreadLocal ? internal::CurrentSpan() : parent;
   saved_current_ = internal::ExchangeCurrentSpan(id_);
-  restore_current_ = true;
-  start_ = std::chrono::steady_clock::now();
-  start_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  start_.time_since_epoch())
-                  .count() -
-              tracer.impl_->epoch_nanos.load(std::memory_order_relaxed);
-  wall_start_unix_ms_ =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count();
-#else
-  (void)name;
-  (void)explicit_parent;
-#endif
 }
 
-Span::~Span() {
-#if DPCOPULA_OBS_ENABLED
+void Span::Finish() {
+  const std::int64_t duration_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start_)
+          .count();
+  if (histogram_ != nullptr) histogram_->ObserveNanos(duration_ns);
   if (id_ == kNoSpan) return;
-  if (restore_current_) internal::ExchangeCurrentSpan(saved_current_);
+  internal::ExchangeCurrentSpan(saved_current_);
+  Tracer& tracer = Tracer::Global();
   SpanRecord record;
   record.id = id_;
   record.parent = parent_;
-  record.name = std::move(name_);
-  record.start_ns = start_ns_;
-  record.duration_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now() - start_)
-                           .count();
-  record.wall_start_unix_ms = wall_start_unix_ms_;
+  record.name = name_;
+  if (index_ != kNoIndex) {
+    record.name += '[';
+    record.name += std::to_string(index_);
+    record.name += ']';
+  }
+  record.start_ns = SteadyNanos(start_) - tracer.impl_->epoch_nanos.load(
+                                              std::memory_order_relaxed);
+  record.duration_ns = duration_ns;
+  record.wall_start_unix_ms =
+      tracer.impl_->epoch_unix_ms.load(std::memory_order_relaxed) +
+      record.start_ns / 1000000;
   record.thread_index = internal::ThreadIndex();
-  Tracer::Global().Record(std::move(record));
-#endif
+  tracer.Record(std::move(record));
 }
 
 }  // namespace dpcopula::obs

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <ostream>
 #include <set>
 
+#include "common/atomic_file.h"
 #include "obs/json_writer.h"
 
 namespace dpcopula::obs {
@@ -90,16 +92,10 @@ std::string RenderChromeTraceJson() {
 
 Status WriteChromeTrace(const std::string& path) {
   const std::string json = RenderChromeTraceJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open chrome trace file: " + path);
-  }
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != json.size() || !close_ok) {
-    return Status::IOError("short write to chrome trace file: " + path);
-  }
-  return Status::OK();
+  return WriteFileAtomic(path, [&](std::ostream& out) {
+    out.write(json.data(), static_cast<std::streamsize>(json.size()));
+    return Status::OK();
+  });
 }
 
 }  // namespace dpcopula::obs

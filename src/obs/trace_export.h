@@ -39,8 +39,8 @@ std::string RenderChromeTraceJson(const std::vector<SpanRecord>& spans,
 /// Snapshot of the global tracer, rendered as above.
 std::string RenderChromeTraceJson();
 
-/// Renders the global tracer's spans and writes them to `path`
-/// (overwriting).
+/// Renders the global tracer's spans and replaces `path` with them
+/// atomically (WriteFileAtomic).
 Status WriteChromeTrace(const std::string& path);
 
 }  // namespace dpcopula::obs

@@ -16,6 +16,7 @@
 #include "copula/sampler.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace dpcopula::serve {
 
@@ -219,7 +220,7 @@ bool Server::Dispatch(int fd, const std::string& line) {
       obs::MetricsRegistry::Global().GetCounter("serve.requests");
   requests_.fetch_add(1, std::memory_order_relaxed);
   requests->Increment();
-  obs::ScopedTimer timer(latency);
+  obs::Span timer(latency);
   Result<Request> parsed = ParseRequestLine(line);
   if (!parsed.ok()) {
     errors_.fetch_add(1, std::memory_order_relaxed);

@@ -28,6 +28,7 @@
 #include "linalg/psd_repair.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 
@@ -249,6 +250,19 @@ TEST_F(FaultInjectionTest, AtomicWriteFaultLeavesNoArtifacts) {
   data::Table t = MakeSynthetic(5, 2, 0.0, &rng);
   ASSERT_TRUE(Registry::Global().Arm("atomicio.write", "always").ok());
   Status s = data::WriteCsv(t, path);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("atomicio.write"), std::string::npos);
+  EXPECT_FALSE(FileExists(path));
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+}
+
+// The obs artifacts share the release's atomic writer: a failed write
+// leaves no report at all, never a truncated one.
+TEST_F(FaultInjectionTest, RunReportWriteFaultLeavesNoFile) {
+  const std::string path = "/tmp/dpc_fault_run_report.json";
+  std::remove(path.c_str());
+  ASSERT_TRUE(Registry::Global().Arm("atomicio.write", "always").ok());
+  Status s = obs::WriteRunReport(path, nullptr);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("atomicio.write"), std::string::npos);
   EXPECT_FALSE(FileExists(path));

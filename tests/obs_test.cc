@@ -496,6 +496,34 @@ TEST_F(ObsTest, RunReportJsonRoundTrips) {
   EXPECT_EQ(no_budget.find("\"budget\""), std::string::npos);
 }
 
+// Sampler tiles and shards time into histograms only, so the span count of
+// a release is fixed by its schema and the 2^16 cap is never approached by
+// a large one.
+TEST_F(ObsTest, TraceVolumeDependsOnSchemaNotRows) {
+  const data::Table table = MakeTable(31);
+  auto spans_for = [&](std::size_t rows) {
+    obs::Tracer::Global().Reset();
+    core::DpCopulaOptions options;
+    options.num_synthetic_rows = rows;
+    options.num_threads = 4;
+    Rng rng(9);
+    auto result = core::Synthesize(table, options, &rng);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(obs::Tracer::Global().dropped(), 0);
+    return obs::Tracer::Global().Snapshot().size();
+  };
+  const std::size_t small = spans_for(10000);
+  const std::size_t large = spans_for(100000);
+  EXPECT_EQ(small, large);
+#if DPCOPULA_OBS_ENABLED
+  EXPECT_GT(small, 0u);
+  EXPECT_GT(obs::MetricsRegistry::Global()
+                .GetHistogram("profile.inverse_cdf_seconds")
+                ->Count(),
+            100000 / 256);
+#endif
+}
+
 // ---------------------------------------------------------------------------
 // The core guarantee: observability never changes released bytes.
 
@@ -535,6 +563,19 @@ TEST_F(ObsTest, ObsOnVersusOffIsByteIdentical) {
   EXPECT_TRUE(TablesEqual(off_1, on_1));
   EXPECT_TRUE(TablesEqual(off_1, on_7));
   EXPECT_TRUE(TablesEqual(off_1, off_7));
+#if DPCOPULA_OBS_ENABLED
+  // The "on" runs timed every stage of the pipeline they reach.
+  for (const char* stage :
+       {"margin_publish", "rank_cache_build", "tau_pairs", "laplace_noise",
+        "psd_repair", "cholesky", "gaussian_fill", "cholesky_apply",
+        "inverse_cdf"}) {
+    EXPECT_GT(obs::MetricsRegistry::Global()
+                  .GetHistogram(std::string("profile.") + stage + "_seconds")
+                  ->Count(),
+              0)
+        << stage;
+  }
+#endif
 }
 
 }  // namespace

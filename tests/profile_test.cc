@@ -1,95 +1,146 @@
-// Stage profiler: fixed stage table, RAII scope recording, the stage-sum
-// accounting guarantee (single-threaded stage totals track the wall clock
-// of the instrumented region), peak-RSS sampling, and graceful hardware
-// counter fallback in containers that deny perf_event_open.
+// The one timing scope and the process-level samples: obs::Span feeds a
+// histogram and the trace from one clock, costs nothing when off, and its
+// stage histograms account for the wall clock of a single-threaded run;
+// peak-RSS sampling and graceful hardware counter fallback in containers
+// that deny perf_event_open.
 //
 // Recording assertions are guarded on DPCOPULA_OBS_ENABLED so the suite
 // also exercises the no-op stubs under -DDPCOPULA_OBS=OFF.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
-#include <set>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "copula/mle_estimator.h"
 #include "copula/sampler.h"
 #include "data/generator.h"
 #include "data/schema.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/trace.h"
 #include "stats/empirical_cdf.h"
+
+// Counts every allocation through the global operator new while armed, for
+// the off-path test below. Kept out of line: inlined into a new/delete
+// pair, the malloc/free underneath would trip -Wmismatched-new-delete.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dpcopula::obs {
 namespace {
+
+Histogram* StageHistogram(const std::string& stage) {
+  return MetricsRegistry::Global().GetHistogram("profile." + stage +
+                                                "_seconds");
+}
 
 class ProfileTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ObsConfig config;
-    config.profile = true;
+    config.metrics = true;
     SetObsConfig(config);
     MetricsRegistry::Global().ResetAll();
+    Tracer::Global().Reset();
   }
   void TearDown() override { SetObsConfig(ObsConfig{}); }
 };
 
-TEST_F(ProfileTest, StageNamesAreStableAndDistinct) {
-  std::set<std::string> seen;
-  for (int i = 0; i < kNumProfileStages; ++i) {
-    const std::string name = StageName(static_cast<Stage>(i));
-    EXPECT_FALSE(name.empty());
-    // snake_case, safe for metric keys.
-    for (char c : name) {
-      EXPECT_TRUE((c >= 'a' && c <= 'z') || c == '_') << name;
-    }
-    EXPECT_TRUE(seen.insert(name).second) << "duplicate stage name " << name;
-  }
-  EXPECT_STREQ(StageName(Stage::kCsvRead), "csv_read");
-  EXPECT_STREQ(StageName(Stage::kTauPairs), "tau_pairs");
-  EXPECT_STREQ(StageName(Stage::kInverseCdf), "inverse_cdf");
-}
-
-TEST_F(ProfileTest, StageScopeRecordsIntoRegistryHistogram) {
+TEST_F(ProfileTest, HistogramOnlySpanObservesAndRecordsNoSpan) {
+  ObsConfig config;
+  config.metrics = true;
+  config.trace = true;
+  SetObsConfig(config);
   {
-    StageScope scope(Stage::kTauPairs);
+    Span scope(StageHistogram("tau_pairs"));
     // Spin a little so the recorded duration is visibly non-zero.
     volatile double sink = 0.0;
     for (int i = 0; i < 1000; ++i) sink = sink + static_cast<double>(i);
   }
+  EXPECT_TRUE(Tracer::Global().Snapshot().empty());
 #if DPCOPULA_OBS_ENABLED
-  Histogram* direct = StageProfiler::Global().histogram(Stage::kTauPairs);
-  Histogram* via_registry =
-      MetricsRegistry::Global().GetHistogram("profile.tau_pairs_seconds");
-  EXPECT_EQ(direct, via_registry);  // Same object, not a copy.
-  EXPECT_EQ(direct->Count(), 1);
-  EXPECT_GE(direct->Sum(), 0.0);
-#else
-  // The registry hands out real (no-op) histogram objects either way.
-  EXPECT_EQ(StageProfiler::Global().histogram(Stage::kTauPairs)->Count(), 0);
+  EXPECT_EQ(StageHistogram("tau_pairs")->Count(), 1);
+  EXPECT_GE(StageHistogram("tau_pairs")->Sum(), 0.0);
 #endif
+  // The per-run reset zeroes the stage histograms; registrations survive.
+  MetricsRegistry::Global().ResetAll();
+  EXPECT_EQ(StageHistogram("tau_pairs")->Count(), 0);
 }
 
-TEST_F(ProfileTest, StageScopeIsInertWhenProfilingDisabled) {
+// A span that is off allocates nothing, even with a name long enough to
+// defeat the small-string buffer and an index that would render it
+// "name[i]".
+TEST_F(ProfileTest, OffSpansDoNotAllocate) {
+  SetObsConfig(ObsConfig{});
+  static constexpr char kName[] = "hybrid.partition_fits";
+  static_assert(sizeof(kName) - 1 == 21);
+  Histogram* histogram = StageHistogram("mle_partition_fit");
+  g_allocations.store(0);
+  g_count_allocations.store(true);
+  for (std::size_t i = 0; i < 100000; ++i) {
+    Span span(kName, i, kNoSpan, histogram);
+  }
+  g_count_allocations.store(false);
+  EXPECT_EQ(g_allocations.load(), 0);
+  EXPECT_EQ(histogram->Count(), 0);
+  EXPECT_TRUE(Tracer::Global().Snapshot().empty());
+}
+
+#if DPCOPULA_OBS_ENABLED
+// One pair of clock reads feeds the span record and the histogram, so the
+// trace and the per-stage table agree to the nanosecond.
+TEST_F(ProfileTest, OneClockFeedsTraceAndHistogram) {
   ObsConfig config;
-  config.metrics = true;  // Metrics on, profiling off.
+  config.metrics = true;
+  config.trace = true;
   SetObsConfig(config);
-  { StageScope scope(Stage::kCholesky); }
-#if DPCOPULA_OBS_ENABLED
-  EXPECT_EQ(StageProfiler::Global().histogram(Stage::kCholesky)->Count(), 0);
-#endif
+  Rng data_rng(3);
+  std::vector<data::MarginSpec> specs;
+  for (int j = 0; j < 4; ++j) {
+    specs.push_back(data::MarginSpec::Gaussian("x" + std::to_string(j), 40));
+  }
+  const data::Table table = *data::GenerateGaussianDependent(
+      specs, *data::Equicorrelation(4, 0.3), 20000, &data_rng);
+  copula::MleEstimatorOptions options;
+  options.num_threads = 4;
+  Rng rng(8);
+  auto estimate = copula::EstimateMleCorrelation(table, 1.0, &rng, options);
+  ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
+
+  std::int64_t spans = 0;
+  std::int64_t span_nanos = 0;
+  for (const SpanRecord& record : Tracer::Global().Snapshot()) {
+    if (record.name.rfind("mle.partition_fit[", 0) != 0) continue;
+    ++spans;
+    span_nanos += record.duration_ns;
+  }
+  const Histogram* histogram = StageHistogram("mle_partition_fit");
+  ASSERT_EQ(spans, estimate->num_partitions);
+  ASSERT_EQ(histogram->Count(), spans);
+  EXPECT_NEAR(histogram->Sum(), 1e-9 * static_cast<double>(span_nanos),
+              1e-9 * static_cast<double>(spans));
 }
 
-TEST_F(ProfileTest, StageProfilerResetZeroesAllStages) {
-  { StageScope scope(Stage::kPsdRepair); }
-  StageProfiler::Global().Reset();
-#if DPCOPULA_OBS_ENABLED
-  EXPECT_EQ(StageProfiler::Global().histogram(Stage::kPsdRepair)->Count(), 0);
-#endif
-}
-
-#if DPCOPULA_OBS_ENABLED
 // The accounting guarantee behind the per-stage report tables: stages are
 // leaf-level and disjoint, so on one thread their totals cover the wall
 // time of the instrumented region, minus only unscoped glue (shard setup,
@@ -115,7 +166,6 @@ TEST_F(ProfileTest, SingleThreadStageSumsTrackWallClock) {
   }
   linalg::Matrix corr = *data::Equicorrelation(kDims, 0.4);
 
-  StageProfiler::Global().Reset();
   Rng rng(1234);
   const auto wall_start = std::chrono::steady_clock::now();
   auto table = copula::SampleSyntheticData(schema, cdfs, corr, kRows, &rng,
@@ -125,16 +175,15 @@ TEST_F(ProfileTest, SingleThreadStageSumsTrackWallClock) {
                           .count();
   ASSERT_TRUE(table.ok()) << table.status().message();
 
-  const Stage kSamplerStages[] = {Stage::kCholesky, Stage::kGaussianFill,
-                                  Stage::kCholeskyApply, Stage::kInverseCdf};
   double stage_sum = 0.0;
-  for (Stage s : kSamplerStages) {
-    stage_sum += StageProfiler::Global().histogram(s)->Sum();
+  for (const char* stage :
+       {"cholesky", "gaussian_fill", "cholesky_apply", "inverse_cdf"}) {
+    stage_sum += StageHistogram(stage)->Sum();
   }
   // Tile-grain stages fire once per tile; the fill and apply tilings match.
-  EXPECT_EQ(StageProfiler::Global().histogram(Stage::kGaussianFill)->Count(),
-            StageProfiler::Global().histogram(Stage::kCholeskyApply)->Count());
-  EXPECT_EQ(StageProfiler::Global().histogram(Stage::kCholesky)->Count(), 1);
+  EXPECT_EQ(StageHistogram("gaussian_fill")->Count(),
+            StageHistogram("cholesky_apply")->Count());
+  EXPECT_EQ(StageHistogram("cholesky")->Count(), 1);
   // Disjoint scopes can never exceed the wall clock that contains them
   // (2% slack for clock-read jitter at tile granularity)...
   EXPECT_LE(stage_sum, wall * 1.02)
@@ -203,11 +252,9 @@ TEST_F(ProfileTest, ProfileSessionPublishesGauges) {
 #endif
 }
 
-TEST_F(ProfileTest, ProfileSessionIsInertWhenProfilingDisabled) {
+TEST_F(ProfileTest, ProfileSessionPublishesNothingWithMetricsOff) {
   SetObsConfig(ObsConfig{});
-  MetricsRegistry::Global().ResetAll();
   { ProfileSession session; }
-  // No gauges published; with obs fully off Value() is 0 regardless.
   EXPECT_EQ(MetricsRegistry::Global()
                 .GetGauge("profile.peak_rss_bytes")
                 ->Value(),

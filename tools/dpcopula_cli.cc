@@ -25,18 +25,23 @@
 //   --strict-csv        fail on the first malformed input row (the default;
 //                       overrides --max-bad-rows)
 //   --model-out PATH    also save the fitted DP model; needs --no-hybrid
-//   --model-in PATH     skip fitting: load a saved model and sample from it
-//   --trace-json PATH   write a JSON run report (span tree, metrics, budget
-//                       audit) after the run; also enables tracing/metrics
+//   --trace-json PATH   write a JSON run report after the run: span tree,
+//                       metrics with the per-stage histograms, peak RSS,
+//                       hardware counters where the kernel allows them, and
+//                       the budget audit
 //   --trace-chrome PATH write the span timeline in Chrome trace-event JSON
-//                       (load in Perfetto / chrome://tracing); also enables
-//                       tracing
-//   --profile           enable the stage profiler: per-stage latency
-//                       histograms, peak RSS, and hardware counters where
-//                       the kernel allows them (implies metrics)
+//                       (load in Perfetto / chrome://tracing)
 //   --log-level LEVEL   trace|debug|info|warn|error|off (default warn)
+//
+// Sampling a saved model instead of releasing from data:
+//
+//   dpcopula --model-in model.txt --output synthetic.csv [--rows N]
+//            [--seed N]
+//
+// takes only --rows (default: the model's fitted rows), --seed, --threads
+// and the obs flags; any flag that shapes a release from --input exits 2.
+// Sampling from a model runs single-threaded, so --threads changes nothing.
 #include <cstdio>
-#include <optional>
 #include <string>
 
 #include "common/rng.h"
@@ -44,16 +49,15 @@
 #include "core/hybrid.h"
 #include "core/model_io.h"
 #include "data/csv.h"
-#include "obs/log.h"
-#include "obs/profile.h"
 #include "obs/report.h"
-#include "obs/trace_export.h"
 #include "flag_value.h"
+#include "obs_flags.h"
 
 namespace {
 
 using dpcopula::tools::FlagDouble;
 using dpcopula::tools::FlagUint;
+using dpcopula::tools::ObsFlags;
 
 struct CliArgs {
   std::string input;
@@ -72,11 +76,21 @@ struct CliArgs {
   unsigned long long seed = 42;
   std::string model_out;
   std::string model_in;
-  std::string trace_json;
-  std::string trace_chrome;
-  bool profile = false;
-  std::string log_level = "warn";
+  // The first flag given that only a release from --input uses.
+  std::string release_flag;
+  ObsFlags obs{"warn"};
 };
+
+// Sampling a saved model has nothing for these to change.
+bool ReleaseOnly(const std::string& flag) {
+  for (const char* f :
+       {"--input", "--epsilon", "--k", "--estimator", "--family", "--t-dof",
+        "--no-hybrid", "--oversample", "--max-bad-rows", "--strict-csv",
+        "--model-out"}) {
+    if (flag == f) return true;
+  }
+  return false;
+}
 
 const char* FamilyName(dpcopula::core::CopulaFamily family) {
   switch (family) {
@@ -98,10 +112,10 @@ void Usage(const char* argv0) {
                "[--epsilon X] [--k X] [--estimator kendall|mle] "
                "[--family gaussian|t|auto] [--t-dof X] [--no-hybrid] "
                "[--rows N] [--oversample X] [--threads N] [--seed N] "
-               "[--max-bad-rows N] [--strict-csv] "
-               "[--trace-json PATH] [--trace-chrome PATH] [--profile] "
-               "[--log-level LEVEL]\n",
-               argv0);
+               "[--max-bad-rows N] [--strict-csv] [--model-out PATH] %s\n"
+               "       %s --model-in model.txt --output synth.csv "
+               "[--rows N] [--seed N] [--threads N] %s\n",
+               argv0, ObsFlags::kUsage, argv0, ObsFlags::kUsage);
 }
 
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
@@ -110,6 +124,9 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
+    if (args->release_flag.empty() && ReleaseOnly(flag)) {
+      args->release_flag = flag;
+    }
     if (flag == "--input") {
       const char* v = next();
       if (!v) return false;
@@ -154,20 +171,10 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       const char* v = next();
       if (!v) return false;
       args->model_in = v;
-    } else if (flag == "--trace-json") {
+    } else if (ObsFlags::Owns(flag)) {
       const char* v = next();
       if (!v) return false;
-      args->trace_json = v;
-    } else if (flag == "--trace-chrome") {
-      const char* v = next();
-      if (!v) return false;
-      args->trace_chrome = v;
-    } else if (flag == "--profile") {
-      args->profile = true;
-    } else if (flag == "--log-level") {
-      const char* v = next();
-      if (!v) return false;
-      args->log_level = v;
+      args->obs.Set(flag, v);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -187,6 +194,11 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
+  if (!args.model_in.empty() && !args.release_flag.empty()) {
+    std::fprintf(stderr, "%s does not apply to sampling from --model-in\n",
+                 args.release_flag.c_str());
+    return 2;
+  }
   // A hybrid release fits one model per partition and sizes each partition
   // from its noisy count, so it has neither one model to save nor a row
   // count to honour.
@@ -196,52 +208,7 @@ int main(int argc, char** argv) {
                  args.model_out.empty() ? "--rows" : "--model-out");
     return 2;
   }
-
-  obs::ObsConfig obs_config;
-  if (!obs::ParseLogLevel(args.log_level, &obs_config.log_level)) {
-    std::fprintf(stderr, "unknown log level '%s'\n", args.log_level.c_str());
-    return 2;
-  }
-  // --trace-json needs both the span tree and the metrics section;
-  // --trace-chrome only the spans; --profile implies metrics.
-  obs_config.trace = !args.trace_json.empty() || !args.trace_chrome.empty();
-  obs_config.metrics = !args.trace_json.empty();
-  obs_config.profile = args.profile;
-  obs::SetObsConfig(obs_config);
-
-  // Hardware counters run across the whole process (CSV IO included); the
-  // session is closed before any report is rendered so the profile gauges
-  // it publishes land in them.
-  std::optional<obs::ProfileSession> profile_session;
-  if (args.profile) profile_session.emplace();
-
-  // Written after a successful run (nullptr when no accountant exists, e.g.
-  // sample-only mode).
-  auto write_report = [&](const obs::BudgetAudit* audit) -> bool {
-    profile_session.reset();
-    bool ok = true;
-    if (!args.trace_chrome.empty()) {
-      Status cs = obs::WriteChromeTrace(args.trace_chrome);
-      if (!cs.ok()) {
-        std::fprintf(stderr, "failed to write chrome trace %s: %s\n",
-                     args.trace_chrome.c_str(), cs.ToString().c_str());
-        ok = false;
-      } else {
-        std::fprintf(stderr, "chrome trace written to %s\n",
-                     args.trace_chrome.c_str());
-      }
-    }
-    if (args.trace_json.empty()) return ok;
-    Status ts = obs::WriteRunReport(args.trace_json, audit);
-    if (!ts.ok()) {
-      std::fprintf(stderr, "failed to write trace report %s: %s\n",
-                   args.trace_json.c_str(), ts.ToString().c_str());
-      return false;
-    }
-    std::fprintf(stderr, "trace report written to %s\n",
-                 args.trace_json.c_str());
-    return ok;
-  };
+  if (!args.obs.Start()) return 2;
 
   if (!args.model_in.empty()) {
     // Sample-only mode: load a published model and draw from it.
@@ -270,7 +237,7 @@ int main(int argc, char** argv) {
                  args.output.c_str());
     // Sampling a published model is pure post-processing — no budget to
     // audit, but the span tree / metrics are still worth the report.
-    return write_report(nullptr) ? 0 : 1;
+    return args.obs.Finish(nullptr) ? 0 : 1;
   }
 
   data::ReadCsvOptions read_options;
@@ -377,5 +344,5 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "wrote %zu synthetic rows to %s\n",
                synthetic.num_rows(), args.output.c_str());
-  return write_report(&audit) ? 0 : 1;
+  return args.obs.Finish(&audit) ? 0 : 1;
 }

@@ -8,18 +8,17 @@
 //   dpcopula_eval --original data.csv --synthetic synth.csv [--queries N]
 //                 [--sanity S] [--threads N] [--seed N]
 //                 [--max-bad-rows N] [--strict-csv]
-//                 [--trace-json PATH] [--trace-chrome PATH] [--profile]
+//                 [--trace-json PATH] [--trace-chrome PATH]
 //                 [--log-level LEVEL]
 //
 // --threads parallelizes the O(n^2) DCR privacy audit (0 = all hardware
 // threads); the report is identical for every thread count.
 // --max-bad-rows quarantines up to N malformed/non-finite rows per input
 // file (strict by default; --strict-csv forces the default explicitly).
-// --trace-json writes a JSON run report (phase spans + metrics; no budget
-// section — evaluation spends no privacy). --trace-chrome writes the span
-// timeline in Chrome trace-event JSON (Perfetto / chrome://tracing).
-// --profile enables the stage profiler (per-stage histograms, peak RSS,
-// hardware counters where the kernel allows them).
+// --trace-json writes a JSON run report (phase spans, metrics, peak RSS and
+// hardware counters; no budget section — evaluation spends no privacy).
+// --trace-chrome writes the span timeline in Chrome trace-event JSON
+// (Perfetto / chrome://tracing).
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -27,21 +26,19 @@
 #include "baselines/range_estimator.h"
 #include "common/rng.h"
 #include "data/csv.h"
-#include "obs/log.h"
-#include "obs/profile.h"
-#include "obs/report.h"
 #include "obs/trace.h"
-#include "obs/trace_export.h"
 #include "query/evaluator.h"
 #include "query/fidelity_metrics.h"
 #include "query/privacy_metrics.h"
 #include "query/workload.h"
 #include "flag_value.h"
+#include "obs_flags.h"
 
 namespace {
 
 using dpcopula::tools::FlagDouble;
 using dpcopula::tools::FlagUint;
+using dpcopula::tools::ObsFlags;
 
 struct CliArgs {
   std::string original;
@@ -52,10 +49,7 @@ struct CliArgs {
   std::size_t max_bad_rows = 0;
   bool strict_csv = false;
   unsigned long long seed = 42;
-  std::string trace_json;
-  std::string trace_chrome;
-  bool profile = false;
-  std::string log_level = "warn";
+  ObsFlags obs{"warn"};
 };
 
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
@@ -84,20 +78,10 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       args->strict_csv = true;
     } else if (flag == "--seed") {
       if (!FlagUint(flag, next(), &args->seed)) return false;
-    } else if (flag == "--trace-json") {
+    } else if (ObsFlags::Owns(flag)) {
       const char* v = next();
       if (!v) return false;
-      args->trace_json = v;
-    } else if (flag == "--trace-chrome") {
-      const char* v = next();
-      if (!v) return false;
-      args->trace_chrome = v;
-    } else if (flag == "--profile") {
-      args->profile = true;
-    } else if (flag == "--log-level") {
-      const char* v = next();
-      if (!v) return false;
-      args->log_level = v;
+      args->obs.Set(flag, v);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -115,26 +99,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s --original data.csv --synthetic synth.csv "
                  "[--queries N] [--sanity S] [--threads N] [--seed N] "
-                 "[--max-bad-rows N] [--strict-csv] "
-                 "[--trace-json PATH] [--trace-chrome PATH] [--profile] "
-                 "[--log-level LEVEL]\n",
-                 argv[0]);
+                 "[--max-bad-rows N] [--strict-csv] %s\n",
+                 argv[0], ObsFlags::kUsage);
     return 2;
   }
-
-  obs::ObsConfig obs_config;
-  if (!obs::ParseLogLevel(args.log_level, &obs_config.log_level)) {
-    std::fprintf(stderr, "unknown log level '%s'\n", args.log_level.c_str());
-    return 2;
-  }
-  obs_config.trace = !args.trace_json.empty() || !args.trace_chrome.empty();
-  obs_config.metrics = !args.trace_json.empty();
-  obs_config.profile = args.profile;
-  obs::SetObsConfig(obs_config);
-
-  // Closed before the reports render so the profile gauges land in them.
-  std::optional<obs::ProfileSession> profile_session;
-  if (args.profile) profile_session.emplace();
+  if (!args.obs.Start()) return 2;
 
   data::ReadCsvOptions read_options;
   read_options.max_bad_rows = args.strict_csv ? 0 : args.max_bad_rows;
@@ -246,28 +215,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  profile_session.reset();
-  if (!args.trace_chrome.empty()) {
-    Status cs = obs::WriteChromeTrace(args.trace_chrome);
-    if (!cs.ok()) {
-      std::fprintf(stderr, "failed to write chrome trace %s: %s\n",
-                   args.trace_chrome.c_str(), cs.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "chrome trace written to %s\n",
-                 args.trace_chrome.c_str());
-  }
-  if (!args.trace_json.empty()) {
-    // Evaluation spends no privacy budget; the report carries only the
-    // span tree and metrics.
-    Status ts = obs::WriteRunReport(args.trace_json, nullptr);
-    if (!ts.ok()) {
-      std::fprintf(stderr, "failed to write trace report %s: %s\n",
-                   args.trace_json.c_str(), ts.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "trace report written to %s\n",
-                 args.trace_json.c_str());
-  }
-  return 0;
+  // Evaluation spends no privacy budget; the report carries only the span
+  // tree and metrics.
+  return args.obs.Finish(nullptr) ? 0 : 1;
 }

@@ -10,10 +10,11 @@
 //                      [{name, rows_per_sec, real_time_ms}]}]}); repeatable.
 //                      The first run is the committed baseline, the last is
 //                      "current"; regressions beyond 20% are flagged.
-//   --run-report PATH  a dpcopula/dpcopula_eval --trace-json run report
-//                      (version >= 2); repeatable. Contributes per-stage
-//                      percentile tables, profile gauges (peak RSS, hardware
-//                      counters), counters, and the budget audit.
+//   --run-report PATH  a dpcopula, dpcopula_eval or dpcopula_serve
+//                      --trace-json run report (version >= 2); repeatable.
+//                      Contributes per-stage percentile tables, profile
+//                      gauges (peak RSS, hardware counters), counters, and
+//                      the budget audit.
 //   --out PATH         output markdown (default docs/PERF_REPORT.md).
 //
 // Exits non-zero on unreadable or malformed input: a report silently built
@@ -435,7 +436,7 @@ bool AppendRunReportSection(const std::string& path, const JsonValue& report,
     *out += stage_table;
     *out += "\nStage total: " + FormatSeconds(stage_total_seconds) + "\n\n";
   } else {
-    *out += "No stage profile recorded (run with `--profile`).\n\n";
+    *out += "No stage timings in this report.\n\n";
   }
 
   // Profile gauges: peak RSS + hardware counters.
@@ -548,7 +549,7 @@ int main(int argc, char** argv) {
   out += "# Performance report\n\n";
   out += "Regenerated by `dpcopula_report`; do not edit by hand. Inputs: "
          "bench ledgers from `bench_to_json`, run reports from "
-         "`dpcopula --trace-json --profile`.\n\n";
+         "`dpcopula --trace-json`.\n\n";
 
   int regressions = 0;
   if (!bench_paths.empty()) {

@@ -13,7 +13,7 @@
 //                [--workers N] [--sample-threads N] [--queue-capacity N]
 //                [--max-rows N] [--host H] [--port-file PATH]
 //                [--duration-seconds N] [--trace-json PATH]
-//                [--trace-chrome PATH] [--profile] [--log-level LEVEL]
+//                [--trace-chrome PATH] [--log-level LEVEL]
 //   client:  dpcopula_serve --client HOST:PORT --request "PING"
 //
 // The daemon runs until SIGINT/SIGTERM (or --duration-seconds elapses),
@@ -31,24 +31,21 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "obs/log.h"
-#include "obs/profile.h"
-#include "obs/report.h"
-#include "obs/trace_export.h"
 #include "serve/server.h"
 #include "flag_value.h"
+#include "obs_flags.h"
 
 namespace {
 
 using dpcopula::tools::FlagDouble;
 using dpcopula::tools::FlagUint;
+using dpcopula::tools::ObsFlags;
 
 constexpr std::uint64_t kMaxPort = 65535;
 
@@ -63,10 +60,7 @@ struct ServeArgs {
   long long duration_seconds = 0;  // 0 = run until signalled.
   std::string client;              // HOST:PORT → client mode.
   std::string request;
-  std::string trace_json;
-  std::string trace_chrome;
-  bool profile = false;
-  std::string log_level = "info";
+  ObsFlags obs{"info"};
 };
 
 void Usage(const char* argv0) {
@@ -76,10 +70,10 @@ void Usage(const char* argv0) {
       "          [--host H] [--port N] [--port-file PATH]\n"
       "          [--workers N] [--sample-threads N] [--queue-capacity N]\n"
       "          [--max-rows N] [--ledger PATH] [--default-allowance X]\n"
-      "          [--duration-seconds N] [--trace-json PATH]\n"
-      "          [--trace-chrome PATH] [--profile] [--log-level LEVEL]\n"
+      "          [--duration-seconds N]\n"
+      "          %s\n"
       "       %s --client HOST:PORT --request LINE\n",
-      argv0, argv0);
+      argv0, ObsFlags::kUsage, argv0);
 }
 
 bool ParseArgs(int argc, char** argv, ServeArgs* args) {
@@ -136,20 +130,10 @@ bool ParseArgs(int argc, char** argv, ServeArgs* args) {
       const char* v = next();
       if (!v) return false;
       args->request = v;
-    } else if (flag == "--trace-json") {
+    } else if (ObsFlags::Owns(flag)) {
       const char* v = next();
       if (!v) return false;
-      args->trace_json = v;
-    } else if (flag == "--trace-chrome") {
-      const char* v = next();
-      if (!v) return false;
-      args->trace_chrome = v;
-    } else if (flag == "--profile") {
-      args->profile = true;
-    } else if (flag == "--log-level") {
-      const char* v = next();
-      if (!v) return false;
-      args->log_level = v;
+      args->obs.Set(flag, v);
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", flag.c_str());
       return false;
@@ -249,17 +233,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  obs::ObsConfig obs_config;
-  if (!obs::ParseLogLevel(args.log_level, &obs_config.log_level)) {
-    std::fprintf(stderr, "unknown log level '%s'\n", args.log_level.c_str());
-    return 2;
-  }
-  obs_config.trace = !args.trace_json.empty() || !args.trace_chrome.empty();
-  obs_config.metrics = !args.trace_json.empty();
-  obs_config.profile = args.profile;
-  obs::SetObsConfig(obs_config);
-  std::optional<obs::ProfileSession> profile_session;
-  if (args.profile) profile_session.emplace();
+  if (!args.obs.Start()) return 2;
 
   Result<std::unique_ptr<serve::Server>> created =
       serve::Server::Create(args.server);
@@ -320,23 +294,5 @@ int main(int argc, char** argv) {
                    stats.connections_rejected_busy));
   server.reset();
 
-  profile_session.reset();
-  int exit_code = 0;
-  if (!args.trace_chrome.empty()) {
-    Status cs = obs::WriteChromeTrace(args.trace_chrome);
-    if (!cs.ok()) {
-      std::fprintf(stderr, "failed to write chrome trace %s: %s\n",
-                   args.trace_chrome.c_str(), cs.ToString().c_str());
-      exit_code = 1;
-    }
-  }
-  if (!args.trace_json.empty()) {
-    Status ts = obs::WriteRunReport(args.trace_json, nullptr);
-    if (!ts.ok()) {
-      std::fprintf(stderr, "failed to write trace report %s: %s\n",
-                   args.trace_json.c_str(), ts.ToString().c_str());
-      exit_code = 1;
-    }
-  }
-  return exit_code;
+  return args.obs.Finish(nullptr) ? 0 : 1;
 }
