@@ -3,12 +3,9 @@
 // count m. The fixture keeps n small (64 rows, 8-value domains) and the
 // Kendall budget tiny, so the noisy tau matrix is far from PSD and the
 // m x m eigenvalue repair dominates at large m -- the regime this
-// benchmark exists to track. Rows/sec is reported via SetItemsProcessed
-// so tools/bench_to_json extracts items_per_second into
-// BENCH_highdim.json.
+// benchmark exists to track. Rows/sec is reported via SetItemsProcessed.
 //
-// The acceptance leg is BM_HighDimEstimateRepair_TridiagQL/200. The rows
-// keep their `_TridiagQL` names so their ledger history stays comparable.
+// The acceptance leg is BM_HighDimEstimateRepair_TridiagQL/200.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

@@ -9,7 +9,7 @@
 /// Append-style JSON emission shared by the run report and the Chrome
 /// trace exporter. The schemas are small and fully known, so a handful of
 /// helpers beats dragging in a JSON library (the container has none).
-/// Internal to obs — tools re-implement their own parsing side.
+/// Internal to obs; json_reader.h is the reading side.
 
 namespace dpcopula::obs::internal {
 

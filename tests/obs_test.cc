@@ -1,6 +1,6 @@
 // Observability layer: metric sharding under the shared pool, span-tree
-// nesting, the JSON run report, and — most importantly — the guarantee that
-// turning obs on or off never changes a single released byte.
+// nesting, the JSON run report and its reader, and — most importantly — the
+// guarantee that turning obs on or off never changes a single released byte.
 //
 // Every assertion about recorded values is guarded on DPCOPULA_OBS_ENABLED
 // so the suite also passes (and still exercises the no-op stubs) when the
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
@@ -20,7 +21,8 @@
 #include "common/rng.h"
 #include "core/dpcopula.h"
 #include "data/generator.h"
-#include "json_checker_test_util.h"
+#include "obs/json_reader.h"
+#include "obs/json_writer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -29,20 +31,6 @@
 
 namespace dpcopula {
 namespace {
-
-using test::JsonChecker;
-
-// Sums every `"key": <number>` occurrence at or after `from`.
-double SumNumbersForKey(const std::string& json, const std::string& key,
-                        std::size_t from = 0) {
-  const std::string needle = "\"" + key + "\":";  // Compact JSON, no space.
-  double sum = 0.0;
-  for (std::size_t p = json.find(needle, from); p != std::string::npos;
-       p = json.find(needle, p + 1)) {
-    sum += std::strtod(json.c_str() + p + needle.size(), nullptr);
-  }
-  return sum;
-}
 
 class ObsTest : public ::testing::Test {
  protected:
@@ -377,7 +365,7 @@ TEST_F(ObsTest, ChromeTraceRendersWellFormedCompleteEvents) {
   spans.push_back(MakeSpan(2, 1, "margins", 2500, 10000, 0));
   spans.push_back(MakeSpan(3, 1, "sampling", 20000, 800500, 2));
   const std::string json = obs::RenderChromeTraceJson(spans, 7);
-  EXPECT_TRUE(JsonChecker::Valid(json)) << json.substr(0, 400);
+  EXPECT_TRUE(obs::ParseJson(json).ok()) << json.substr(0, 400);
 
   // One "X" (complete) event per span with microsecond ts/dur at
   // nanosecond precision, pid 1, and the recording thread as tid.
@@ -420,7 +408,7 @@ TEST_F(ObsTest, ChromeTraceNestedSpansStayContained) {
   EXPECT_LE(inner.start_ns + inner.duration_ns,
             outer.start_ns + outer.duration_ns);
   const std::string json = obs::RenderChromeTraceJson();
-  EXPECT_TRUE(JsonChecker::Valid(json));
+  EXPECT_TRUE(obs::ParseJson(json).ok());
   EXPECT_NE(json.find("\"outer\""), std::string::npos);
   EXPECT_NE(json.find("\"inner\""), std::string::npos);
 #endif
@@ -428,14 +416,92 @@ TEST_F(ObsTest, ChromeTraceNestedSpansStayContained) {
 
 TEST_F(ObsTest, ChromeTraceEmptyTraceIsValid) {
   const std::string json = obs::RenderChromeTraceJson({}, 0);
-  EXPECT_TRUE(JsonChecker::Valid(json)) << json;
+  EXPECT_TRUE(obs::ParseJson(json).ok()) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_spans\": \"0\""), std::string::npos);
   // Names with JSON metacharacters must render escaped, not raw.
   std::vector<obs::SpanRecord> spans;
   spans.push_back(MakeSpan(1, obs::kNoSpan, "quote\"back\\\\slash", 0, 10, 0));
   const std::string escaped = obs::RenderChromeTraceJson(spans, 0);
-  EXPECT_TRUE(JsonChecker::Valid(escaped)) << escaped;
+  EXPECT_TRUE(obs::ParseJson(escaped).ok()) << escaped;
+}
+
+// ---------------------------------------------------------------------------
+// JSON reader: RFC 8259 only, as strict as a validator.
+
+TEST(JsonReaderTest, RejectsMalformedDocuments) {
+  auto nested = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const struct {
+    const char* what;
+    std::string text;
+  } cases[] = {
+      {"two decimal points", R"({"version": 2.5.1, "metrics": {}})"},
+      {"leading plus", R"({"version": +2, "metrics": {}})"},
+      {"an expression", R"({"version": 2, "metrics": {}, "junk": 1-2})"},
+      {"raw tab in a string", "{\"name\": \"a\tb\"}"},
+      {"50,000 levels", nested(50000)},
+      {"trailing comma in an array", "[1, 2,]"},
+      {"trailing comma in an object", R"({"a": 1,})"},
+      {"leading zero", "[01]"},
+      {"unknown escape", R"(["\x"])"},
+      {"short \\u", R"(["\u12"])"},
+      {"non-hex \\u", R"(["\u12G4"])"},
+      {"bytes after the value", "{} x"},
+      {"empty input", ""},
+      {"257 levels", nested(obs::kMaxJsonDepth + 1)},
+  };
+  for (const auto& c : cases) {
+    EXPECT_FALSE(obs::ParseJson(c.text).ok()) << c.what;
+  }
+}
+
+TEST(JsonReaderTest, AcceptsNestingUpToTheCap) {
+  const int depth = obs::kMaxJsonDepth;
+  const Result<obs::JsonValue> parsed =
+      obs::ParseJson(std::string(depth, '[') + std::string(depth, ']'));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  int levels = 1;
+  for (const obs::JsonValue* v = &*parsed; !v->array->empty();
+       v = &v->array->front()) {
+    ++levels;
+  }
+  EXPECT_EQ(levels, depth);
+}
+
+TEST(JsonReaderTest, DecodesValuesInDocumentOrder) {
+  const Result<obs::JsonValue> parsed = obs::ParseJson(
+      " {\"b\": [true, false, null], \"a\": -1.5e2, "
+      "\"s\": \"\\u00e9\\ud83d\\ude00\\/\\n\", \"b\": 0}\r\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->object->size(), 4u);
+  EXPECT_EQ(parsed->object->front().first, "b");
+  EXPECT_EQ(parsed->Find("b")->array->size(), 3u);  // The first "b".
+  EXPECT_TRUE(parsed->Find("b")->array->front().boolean);
+  EXPECT_EQ(parsed->Find("a")->NumberOr(0.0), -150.0);
+  EXPECT_EQ(parsed->Find("s")->string, "\xc3\xa9\xf0\x9f\x98\x80/\n");
+  EXPECT_EQ(parsed->Find("s")->NumberOr(7.0), 7.0);
+  EXPECT_EQ(parsed->Find("missing"), nullptr);
+}
+
+// Every byte AppendJsonString can be handed reads back unchanged.
+TEST(JsonReaderTest, WriterStringsReadBackByteEqual) {
+  Rng rng(2014);
+  std::array<bool, 256> seen{};
+  for (int i = 0; i < 1000; ++i) {
+    std::string bytes(rng.NextUint64Below(64), '\0');
+    for (char& c : bytes) {
+      c = static_cast<char>(rng.NextUint64Below(256));
+      seen[static_cast<unsigned char>(c)] = true;
+    }
+    std::string json;
+    obs::internal::AppendJsonString(&json, bytes);
+    const Result<obs::JsonValue> parsed = obs::ParseJson(json);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->string, bytes);
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 256);
 }
 
 // ---------------------------------------------------------------------------
@@ -462,17 +528,27 @@ TEST_F(ObsTest, RunReportJsonRoundTrips) {
 
   const obs::BudgetAudit audit = obs::AuditFrom(result->budget);
   const std::string json = obs::RenderRunReportJson(&audit);
-  ASSERT_TRUE(JsonChecker::Valid(json)) << json.substr(0, 400);
+  const Result<obs::JsonValue> report = obs::ParseJson(json);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   // The audit must carry the full charge log and sum to options.epsilon.
   EXPECT_NEAR(audit.spent, options.epsilon, 1e-9);
   double entry_sum = 0.0;
   for (const auto& entry : audit.entries) entry_sum += entry.epsilon;
   EXPECT_NEAR(entry_sum, options.epsilon, 1e-9);
-  const std::size_t entries_pos = json.find("\"entries\"");
-  ASSERT_NE(entries_pos, std::string::npos);
-  EXPECT_NEAR(SumNumbersForKey(json, "epsilon", entries_pos),
-              options.epsilon, 1e-9);
+  const obs::JsonValue* budget = report->Find("budget");
+  ASSERT_NE(budget, nullptr);
+  const obs::JsonValue* entries = budget->Find("entries");
+  ASSERT_TRUE(entries != nullptr &&
+              entries->type == obs::JsonValue::Type::kArray);
+  ASSERT_EQ(entries->array->size(), audit.entries.size());
+  double report_sum = 0.0;
+  for (const obs::JsonValue& entry : *entries->array) {
+    const obs::JsonValue* epsilon = entry.Find("epsilon");
+    ASSERT_NE(epsilon, nullptr);
+    report_sum += epsilon->NumberOr(0.0);
+  }
+  EXPECT_NEAR(report_sum, options.epsilon, 1e-9);
 
 #if DPCOPULA_OBS_ENABLED
   // Phase spans from the pipeline.
@@ -492,7 +568,7 @@ TEST_F(ObsTest, RunReportJsonRoundTrips) {
 
   // Null audit must also render valid JSON (eval / sample-only modes).
   const std::string no_budget = obs::RenderRunReportJson(nullptr);
-  EXPECT_TRUE(JsonChecker::Valid(no_budget));
+  EXPECT_TRUE(obs::ParseJson(no_budget).ok());
   EXPECT_EQ(no_budget.find("\"budget\""), std::string::npos);
 }
 

@@ -8,6 +8,7 @@
 // also exercises the no-op stubs under -DDPCOPULA_OBS=OFF.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -144,11 +145,16 @@ TEST_F(ProfileTest, OneClockFeedsTraceAndHistogram) {
 // The accounting guarantee behind the per-stage report tables: stages are
 // leaf-level and disjoint, so on one thread their totals cover the wall
 // time of the instrumented region, minus only unscoped glue (shard setup,
-// table allocation). Run a sampling workload large enough that glue is
-// noise and check both directions of the bound.
+// table allocation). The glue is not noise: `Table::Zeros` first-touches
+// the 12.8 MB output table (about 3,100 page faults) before any stage
+// opens, about 15% of a call, and a few milliseconds of preemption or slow
+// faults there move one call's coverage from 0.85 to below 0.80. So the
+// lower bound holds for the median of kRuns calls; the upper bound is an
+// invariant and holds for every call.
 TEST_F(ProfileTest, SingleThreadStageSumsTrackWallClock) {
   constexpr std::size_t kRows = 200000;
   constexpr std::size_t kDims = 8;
+  constexpr std::size_t kRuns = 5;
   data::Schema schema = [] {
     std::vector<data::Attribute> attrs;
     for (std::size_t j = 0; j < kDims; ++j) {
@@ -166,35 +172,42 @@ TEST_F(ProfileTest, SingleThreadStageSumsTrackWallClock) {
   }
   linalg::Matrix corr = *data::Equicorrelation(kDims, 0.4);
 
-  Rng rng(1234);
-  const auto wall_start = std::chrono::steady_clock::now();
-  auto table = copula::SampleSyntheticData(schema, cdfs, corr, kRows, &rng,
-                                           /*num_threads=*/1);
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - wall_start)
-                          .count();
-  ASSERT_TRUE(table.ok()) << table.status().message();
+  std::vector<double> coverage;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    MetricsRegistry::Global().ResetAll();
+    Rng rng(1234);
+    const auto wall_start = std::chrono::steady_clock::now();
+    auto table = copula::SampleSyntheticData(schema, cdfs, corr, kRows, &rng,
+                                             /*num_threads=*/1);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall_start)
+                            .count();
+    ASSERT_TRUE(table.ok()) << table.status().message();
 
-  double stage_sum = 0.0;
-  for (const char* stage :
-       {"cholesky", "gaussian_fill", "cholesky_apply", "inverse_cdf"}) {
-    stage_sum += StageHistogram(stage)->Sum();
+    double stage_sum = 0.0;
+    for (const char* stage :
+         {"cholesky", "gaussian_fill", "cholesky_apply", "inverse_cdf"}) {
+      stage_sum += StageHistogram(stage)->Sum();
+    }
+    // Tile-grain stages fire once per tile; the fill and apply tilings
+    // match.
+    EXPECT_EQ(StageHistogram("gaussian_fill")->Count(),
+              StageHistogram("cholesky_apply")->Count());
+    EXPECT_EQ(StageHistogram("cholesky")->Count(), 1);
+    // Disjoint scopes can never exceed the wall clock that contains them
+    // (2% slack for clock-read jitter at tile granularity)...
+    EXPECT_LE(stage_sum, wall * 1.02)
+        << "stage scopes overlap or leak: sum=" << stage_sum
+        << "s wall=" << wall << "s";
+    coverage.push_back(stage_sum / wall);
   }
-  // Tile-grain stages fire once per tile; the fill and apply tilings match.
-  EXPECT_EQ(StageHistogram("gaussian_fill")->Count(),
-            StageHistogram("cholesky_apply")->Count());
-  EXPECT_EQ(StageHistogram("cholesky")->Count(), 1);
-  // Disjoint scopes can never exceed the wall clock that contains them
-  // (2% slack for clock-read jitter at tile granularity)...
-  EXPECT_LE(stage_sum, wall * 1.02)
-      << "stage scopes overlap or leak: sum=" << stage_sum
-      << "s wall=" << wall << "s";
-  // ...and at this workload size the unscoped glue is bounded, so they
-  // must also cover most of it. 80% keeps the test robust to allocator
-  // hiccups under sanitizers while still catching a dropped stage scope.
-  EXPECT_GE(stage_sum, wall * 0.80)
-      << "stage coverage too low: sum=" << stage_sum << "s wall=" << wall
-      << "s";
+  // ...and the unscoped glue is bounded, so they must also cover most of
+  // it. 80% keeps the test robust to allocator hiccups under sanitizers
+  // while still catching a dropped stage scope.
+  std::sort(coverage.begin(), coverage.end());
+  EXPECT_GE(coverage[kRuns / 2], 0.80)
+      << "stage coverage too low: median " << coverage[kRuns / 2]
+      << " of " << kRuns << " calls";
 }
 #endif  // DPCOPULA_OBS_ENABLED
 

@@ -1,15 +1,9 @@
-// dpcopula_report — merges observability artifacts into one markdown
+// dpcopula_report — renders --trace-json run reports as one markdown
 // performance report.
 //
-//   dpcopula_report --bench BENCH_sampler.json --bench BENCH_kendall.json
-//                   --run-report report.json --out docs/PERF_REPORT.md
-//   (one command line; wrapped here for width)
+//   dpcopula_report --run-report report.json --out docs/PERF_REPORT.md
 //
 // Inputs:
-//   --bench PATH       a bench_to_json ledger ({"runs":[{label, benchmarks:
-//                      [{name, rows_per_sec, real_time_ms}]}]}); repeatable.
-//                      The first run is the committed baseline, the last is
-//                      "current"; regressions beyond 20% are flagged.
 //   --run-report PATH  a dpcopula, dpcopula_eval or dpcopula_serve
 //                      --trace-json run report (version >= 2); repeatable.
 //                      Contributes per-stage percentile tables, profile
@@ -17,240 +11,39 @@
 //                      the budget audit.
 //   --out PATH         output markdown (default docs/PERF_REPORT.md).
 //
-// Exits non-zero on unreadable or malformed input: a report silently built
-// from half the artifacts is worse than no report.
-#include <algorithm>
-#include <cctype>
-#include <cmath>
+// Exits 1 on unreadable or malformed input (obs::ParseJson) and writes
+// nothing: a report silently built from half the artifacts is worse than
+// no report. Performance gating is perfbench's (tools/perf_gate.py).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/json_reader.h"
+
+namespace dpcopula {
 namespace {
 
-// --- Minimal JSON value + recursive-descent parser -----------------------
-//
-// The tool consumes only documents this repo itself writes, so the parser
-// favors smallness over completeness: no \uXXXX decoding beyond pass-through
-// and no streaming. Objects keep insertion order via a vector of pairs so
-// tables render in the order the producer emitted them.
-
-struct JsonValue;
-using JsonObject = std::vector<std::pair<std::string, JsonValue>>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::shared_ptr<JsonArray> array;
-  std::shared_ptr<JsonObject> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    if (type != Type::kObject) return nullptr;
-    for (const auto& [k, v] : *object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  double NumberOr(double fallback) const {
-    return type == Type::kNumber ? number : fallback;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  bool Parse(JsonValue* out) {
-    SkipWs();
-    if (!ParseValue(out)) return false;
-    SkipWs();
-    return pos_ == s_.size();
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool Literal(const char* lit) {
-    const std::size_t n = std::strlen(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  bool ParseValue(JsonValue* out) {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->type = JsonValue::Type::kString;
-        return ParseString(&out->string);
-      case 't':
-        out->type = JsonValue::Type::kBool;
-        out->boolean = true;
-        return Literal("true");
-      case 'f':
-        out->type = JsonValue::Type::kBool;
-        out->boolean = false;
-        return Literal("false");
-      case 'n':
-        out->type = JsonValue::Type::kNull;
-        return Literal("null");
-      default:
-        return ParseNumber(out);
-    }
-  }
-  bool ParseString(std::string* out) {
-    if (s_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        const char esc = s_[pos_++];
-        switch (esc) {
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'r':
-            c = '\r';
-            break;
-          case 'b':
-            c = '\b';
-            break;
-          case 'f':
-            c = '\f';
-            break;
-          case 'u':
-            // Pass the escape through untouched; report content is ASCII.
-            if (pos_ + 4 > s_.size()) return false;
-            out->append("\\u").append(s_, pos_, 4);
-            pos_ += 4;
-            continue;
-          default:
-            c = esc;  // ", \, /
-        }
-      }
-      out->push_back(c);
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // Closing quote.
-    return true;
-  }
-  bool ParseNumber(JsonValue* out) {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    try {
-      out->number = std::stod(s_.substr(start, pos_ - start));
-    } catch (...) {
-      return false;
-    }
-    out->type = JsonValue::Type::kNumber;
-    return true;
-  }
-  bool ParseArray(JsonValue* out) {
-    ++pos_;  // '['
-    out->type = JsonValue::Type::kArray;
-    out->array = std::make_shared<JsonArray>();
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue v;
-      SkipWs();
-      if (!ParseValue(&v)) return false;
-      out->array->push_back(std::move(v));
-      SkipWs();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool ParseObject(JsonValue* out) {
-    ++pos_;  // '{'
-    out->type = JsonValue::Type::kObject;
-    out->object = std::make_shared<JsonObject>();
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (pos_ >= s_.size() || !ParseString(&key)) return false;
-      SkipWs();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-      ++pos_;
-      SkipWs();
-      JsonValue v;
-      if (!ParseValue(&v)) return false;
-      out->object->emplace_back(std::move(key), std::move(v));
-      SkipWs();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+using obs::JsonValue;
 
 bool LoadJsonFile(const std::string& path, JsonValue* out) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "dpcopula_report: cannot open %s\n", path.c_str());
     return false;
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
-  if (!JsonParser(text).Parse(out)) {
-    std::fprintf(stderr, "dpcopula_report: malformed JSON in %s\n",
-                 path.c_str());
+  auto parsed = obs::ParseJson(buf.str());
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "dpcopula_report: malformed JSON in %s (%s)\n",
+                 path.c_str(), parsed.status().message().c_str());
     return false;
   }
+  *out = std::move(parsed).ValueOrDie();
   return true;
 }
 
@@ -298,83 +91,6 @@ std::string FormatCount(double v) {
     std::snprintf(buf, sizeof(buf), "%.0f", v);
   }
   return buf;
-}
-
-// --- Bench ledgers -------------------------------------------------------
-
-constexpr double kRegressionThreshold = 0.20;
-
-/// Renders one ledger's baseline-vs-current table. Returns false on a
-/// structurally invalid ledger.
-bool AppendBenchSection(const std::string& path, const JsonValue& ledger,
-                        std::string* out, int* regressions) {
-  const JsonValue* runs = ledger.Find("runs");
-  if (runs == nullptr || runs->type != JsonValue::Type::kArray ||
-      runs->array->empty()) {
-    std::fprintf(stderr, "dpcopula_report: %s has no runs\n", path.c_str());
-    return false;
-  }
-  const JsonValue& baseline = runs->array->front();
-  const JsonValue& current = runs->array->back();
-  const bool has_delta = runs->array->size() > 1;
-
-  auto label_of = [](const JsonValue& run) {
-    const JsonValue* l = run.Find("label");
-    return (l != nullptr && l->type == JsonValue::Type::kString) ? l->string
-                                                                 : "?";
-  };
-  std::map<std::string, double> baseline_rate;
-  if (const JsonValue* b = baseline.Find("benchmarks");
-      b != nullptr && b->type == JsonValue::Type::kArray) {
-    for (const JsonValue& bench : *b->array) {
-      const JsonValue* name = bench.Find("name");
-      const JsonValue* rate = bench.Find("rows_per_sec");
-      if (name == nullptr || rate == nullptr) continue;
-      baseline_rate[name->string] = rate->NumberOr(0.0);
-    }
-  }
-
-  *out += "### `" + path + "`\n\n";
-  *out += "Baseline `" + label_of(baseline) + "` vs current `" +
-          label_of(current) + "` (" + std::to_string(runs->array->size()) +
-          " runs recorded).\n\n";
-  *out +=
-      "| benchmark | baseline rows/s | current rows/s | delta | time (ms) "
-      "|\n|---|---:|---:|---:|---:|\n";
-
-  const JsonValue* benches = current.Find("benchmarks");
-  if (benches == nullptr || benches->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "dpcopula_report: %s run has no benchmarks\n",
-                 path.c_str());
-    return false;
-  }
-  for (const JsonValue& bench : *benches->array) {
-    const JsonValue* name = bench.Find("name");
-    const JsonValue* rate = bench.Find("rows_per_sec");
-    const JsonValue* ms = bench.Find("real_time_ms");
-    if (name == nullptr || rate == nullptr) continue;
-    const double cur = rate->NumberOr(0.0);
-    const auto base_it = baseline_rate.find(name->string);
-    std::string delta = "n/a";
-    if (has_delta && base_it != baseline_rate.end() &&
-        base_it->second > 0.0) {
-      const double rel = cur / base_it->second - 1.0;
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "%+.1f%%", 100.0 * rel);
-      delta = buf;
-      if (rel < -kRegressionThreshold) {
-        delta += " **REGRESSION**";
-        ++*regressions;
-      }
-    }
-    *out += "| `" + name->string + "` | " +
-            (base_it != baseline_rate.end() ? FormatCount(base_it->second)
-                                            : std::string("n/a")) +
-            " | " + FormatCount(cur) + " | " + delta + " | " +
-            (ms != nullptr ? FormatCount(ms->NumberOr(0.0)) : "n/a") + " |\n";
-  }
-  *out += "\n";
-  return true;
 }
 
 // --- Run reports ---------------------------------------------------------
@@ -499,9 +215,9 @@ bool AppendRunReportSection(const std::string& path, const JsonValue& report,
 }
 
 }  // namespace
+}  // namespace dpcopula
 
 int main(int argc, char** argv) {
-  std::vector<std::string> bench_paths;
   std::vector<std::string> report_paths;
   std::string out_path = "docs/PERF_REPORT.md";
   for (int i = 1; i < argc; ++i) {
@@ -509,14 +225,7 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
-    if (flag == "--bench") {
-      const char* v = next();
-      if (!v) {
-        std::fprintf(stderr, "--bench needs a path\n");
-        return 2;
-      }
-      bench_paths.push_back(v);
-    } else if (flag == "--run-report") {
+    if (flag == "--run-report") {
       const char* v = next();
       if (!v) {
         std::fprintf(stderr, "--run-report needs a path\n");
@@ -532,49 +241,26 @@ int main(int argc, char** argv) {
       out_path = v;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--bench LEDGER.json]... "
-                   "[--run-report REPORT.json]... [--out PATH]\n",
+                   "usage: %s --run-report REPORT.json... [--out PATH]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (bench_paths.empty() && report_paths.empty()) {
+  if (report_paths.empty()) {
     std::fprintf(stderr,
-                 "dpcopula_report: nothing to report (pass --bench and/or "
-                 "--run-report)\n");
+                 "dpcopula_report: nothing to report (pass --run-report)\n");
     return 2;
   }
 
   std::string out;
   out += "# Performance report\n\n";
-  out += "Regenerated by `dpcopula_report`; do not edit by hand. Inputs: "
-         "bench ledgers from `bench_to_json`, run reports from "
-         "`dpcopula --trace-json`.\n\n";
-
-  int regressions = 0;
-  if (!bench_paths.empty()) {
-    out += "## Benchmarks\n\n";
-    out += "First recorded run is the committed baseline; regressions "
-           "beyond " +
-           std::to_string(static_cast<int>(100 * kRegressionThreshold)) +
-           "% are flagged.\n\n";
-    for (const std::string& path : bench_paths) {
-      JsonValue ledger;
-      if (!LoadJsonFile(path, &ledger)) return 1;
-      if (!AppendBenchSection(path, ledger, &out, &regressions)) return 1;
-    }
-  }
-  if (!report_paths.empty()) {
-    out += "## Instrumented runs\n\n";
-    for (const std::string& path : report_paths) {
-      JsonValue report;
-      if (!LoadJsonFile(path, &report)) return 1;
-      if (!AppendRunReportSection(path, report, &out)) return 1;
-    }
-  }
-  if (regressions > 0) {
-    out += "---\n\n**" + std::to_string(regressions) +
-           " benchmark(s) regressed beyond the threshold.**\n";
+  out += "Regenerated by `dpcopula_report`; do not edit by hand. Inputs: run "
+         "reports from `--trace-json`.\n\n";
+  out += "## Instrumented runs\n\n";
+  for (const std::string& path : report_paths) {
+    dpcopula::obs::JsonValue report;
+    if (!dpcopula::LoadJsonFile(path, &report)) return 1;
+    if (!dpcopula::AppendRunReportSection(path, report, &out)) return 1;
   }
 
   std::ofstream f(out_path);
@@ -590,7 +276,6 @@ int main(int argc, char** argv) {
                  out_path.c_str());
     return 1;
   }
-  std::fprintf(stderr, "dpcopula_report: wrote %s (%d regression(s))\n",
-               out_path.c_str(), regressions);
-  return regressions > 0 ? 3 : 0;
+  std::fprintf(stderr, "dpcopula_report: wrote %s\n", out_path.c_str());
+  return 0;
 }
