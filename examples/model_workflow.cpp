@@ -33,14 +33,12 @@ int main() {
 
   core::DpCopulaOptions options;
   options.epsilon = 1.0;
-  auto fit = core::Synthesize(*original, options, &curator_rng);
+  auto fit = core::Fit(*original, options, &curator_rng);
   if (!fit.ok()) {
     std::fprintf(stderr, "fit failed: %s\n", fit.status().ToString().c_str());
     return 1;
   }
-  core::DpCopulaModel model =
-      core::ModelFromSynthesis(original->schema(), *fit);
-  if (!core::SaveModel(model, model_path).ok()) return 1;
+  if (!core::SaveModel(fit->model, model_path).ok()) return 1;
   std::printf("curator: fitted with epsilon=%.1f, model saved to %s\n",
               options.epsilon, model_path);
 

@@ -62,7 +62,7 @@ int main() {
       *stats::KendallTau(synthetic.column(0), synthetic.column(1));
   std::printf("Kendall tau: %.3f vs %.3f\n", tau_orig, tau_synth);
   std::printf("DP correlation matrix estimate:\n%s",
-              result->correlation.ToString(3).c_str());
+              result->model.correlation.ToString(3).c_str());
   std::printf("privacy budget spent: %.4f of %.4f\n", result->budget.spent(),
               result->budget.total_epsilon());
   return 0;

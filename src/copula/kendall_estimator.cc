@@ -106,9 +106,7 @@ Result<KendallEstimate> EstimateKendallCorrelation(
 
   // Decide the working sample.
   std::int64_t n_used = n;
-  if (options.subsample_size_override > 0) {
-    n_used = std::min(n, options.subsample_size_override);
-  } else if (options.subsample) {
+  if (options.subsample) {
     n_used = std::min(n, AdequateKendallSampleSize(m, epsilon2));
   }
   n_used = std::max<std::int64_t>(n_used, 2);

@@ -18,9 +18,6 @@ struct KendallEstimatorOptions {
   /// noise enlarged from 4/(n+1) to 4/(n_hat+1).
   bool subsample = true;
 
-  /// Overrides the automatic n_hat when > 0 (must still be <= n).
-  std::int64_t subsample_size_override = 0;
-
   /// Worker threads (shared ThreadPool) for the rank-cache builds and the
   /// C(m,2) pairwise tau computations — the dominant cost at high m. Each
   /// pair derives its own RNG stream from the caller's generator by pair

@@ -340,8 +340,7 @@ Result<MleEstimate> EstimateMleCorrelation(const data::Table& table,
     // The paper's rule presumes a very large n; clamp so each partition
     // keeps enough rows to fit a copula at all.
     const std::int64_t max_l =
-        std::max<std::int64_t>(1, n / std::max<std::int64_t>(
-                                          2, options.min_partition_rows));
+        std::max<std::int64_t>(1, n / kMleMinPartitionRows);
     l = std::clamp<std::int64_t>(l, 1, max_l);
   }
   const std::int64_t b = n / l;  // Rows per partition; remainder dropped.

@@ -10,18 +10,18 @@
 
 namespace dpcopula::copula {
 
+/// Lower bound on records per partition when the MLE estimator picks l
+/// itself. A Gaussian copula correlation estimate needs at least a handful
+/// of rows to be informative.
+inline constexpr std::int64_t kMleMinPartitionRows = 10;
+
 /// Options for the DP MLE correlation estimator (Algorithm 2 — Dwork &
 /// Smith sample-and-aggregate).
 struct MleEstimatorOptions {
   /// Number of disjoint horizontal partitions l. 0 selects the paper's rule
   /// l = ceil(C(m,2) / (0.025 * epsilon2)), clamped so each partition keeps
-  /// at least `min_partition_rows` records.
+  /// at least kMleMinPartitionRows records.
   std::int64_t num_partitions = 0;
-
-  /// Lower bound on records per partition when auto-selecting l. A Gaussian
-  /// copula correlation estimate needs at least a handful of rows to be
-  /// informative.
-  std::int64_t min_partition_rows = 10;
 
   /// Worker threads (shared ThreadPool) for the l disjoint partition fits.
   /// The fits consume no randomness and are averaged in partition order, so

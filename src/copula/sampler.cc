@@ -143,9 +143,9 @@ Result<SamplingPlan> SamplingPlan::StudentT(
 Result<SamplingPlan> SamplingPlan::Empirical(
     const data::Schema& schema,
     const std::vector<stats::EmpiricalCdf>& marginal_cdfs,
-    EmpiricalCopula copula) {
+    std::shared_ptr<const EmpiricalCopula> copula) {
   DPC_RETURN_NOT_OK(ValidateMargins(schema, marginal_cdfs));
-  if (copula.dims() != schema.num_attributes()) {
+  if (!copula || copula->dims() != schema.num_attributes()) {
     return Status::InvalidArgument("empirical copula dimension mismatch");
   }
   SamplingPlan plan(schema, marginal_cdfs);
@@ -155,6 +155,10 @@ Result<SamplingPlan> SamplingPlan::Empirical(
 
 Result<data::Table> SamplingPlan::Sample(std::size_t num_rows, Rng* rng,
                                          int num_threads) const {
+  if (num_rows > kMaxSampleRows) {
+    return Status::InvalidArgument(
+        "sample row count exceeds the longest column a table can hold");
+  }
   const std::size_t m = tables_.size();
   data::Table out = data::Table::Zeros(schema_, num_rows);
   if (grid_) {

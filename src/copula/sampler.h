@@ -1,7 +1,7 @@
 #ifndef DPCOPULA_COPULA_SAMPLER_H_
 #define DPCOPULA_COPULA_SAMPLER_H_
 
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -25,6 +25,11 @@ inline constexpr std::size_t kSamplerShardRows = 4096;
 /// the per-tile loop overhead negligible. Divides kSamplerShardRows so only
 /// the final shard ever sees a partial tile.
 inline constexpr std::size_t kSamplerTileRows = 256;
+
+/// The most rows one Sample() call allocates: the longest column a
+/// std::vector<double> can hold. Larger requests are InvalidArgument.
+inline constexpr std::size_t kMaxSampleRows =
+    std::vector<double>().max_size();
 
 /// Algorithm 3 — sampling DP synthetic data — compiled once per fitted
 /// model:
@@ -56,18 +61,20 @@ class SamplingPlan {
       const std::vector<stats::EmpiricalCdf>& marginal_cdfs,
       const linalg::Matrix& correlation, double dof);
 
-  /// Empirical checkerboard copula with one grid axis per attribute.
+  /// Empirical checkerboard copula with one grid axis per attribute. The
+  /// plan shares the grid rather than copying it.
   static Result<SamplingPlan> Empirical(
       const data::Schema& schema,
       const std::vector<stats::EmpiricalCdf>& marginal_cdfs,
-      EmpiricalCopula copula);
+      std::shared_ptr<const EmpiricalCopula> copula);
 
   /// Draws `num_rows` rows. Gaussian and t run one tiled kernel on the
   /// shared thread pool: rows are cut into kSamplerShardRows-sized shards,
   /// each with its own RNG split off `*rng` in shard order, so 1 thread and
   /// N threads give byte-identical tables. The empirical family draws
   /// sequentially from `*rng` itself. `num_threads`: 0 = hardware
-  /// concurrency, <= 1 = sequential.
+  /// concurrency, <= 1 = sequential. More than kMaxSampleRows rows is
+  /// InvalidArgument, before anything is allocated or drawn.
   Result<data::Table> Sample(std::size_t num_rows, Rng* rng,
                              int num_threads = 1) const;
 
@@ -81,7 +88,7 @@ class SamplingPlan {
   // The family is Gaussian unless dof_ > 0 (Student-t) or grid_ is set
   // (empirical).
   double dof_ = 0.0;
-  std::optional<EmpiricalCopula> grid_;
+  std::shared_ptr<const EmpiricalCopula> grid_;
 };
 
 /// Gaussian-copula Algorithm 3 in one call: SamplingPlan::Gaussian, then

@@ -58,34 +58,38 @@ Result<BudgetSplit> ComputeBudgetSplit(const DpCopulaOptions& options) {
   return split;
 }
 
-Result<copula::SamplingPlan> BuildSamplingPlan(
-    const data::Schema& schema,
-    const std::vector<stats::EmpiricalCdf>& marginal_cdfs, CopulaFamily family,
-    const linalg::Matrix& correlation, double t_dof,
-    std::optional<copula::EmpiricalCopula> grid) {
-  using copula::SamplingPlan;
-  if (family == CopulaFamily::kGaussian) {
-    return SamplingPlan::Gaussian(schema, marginal_cdfs, correlation);
+Result<std::vector<stats::EmpiricalCdf>> ModelMarginalCdfs(
+    const DpCopulaModel& model) {
+  std::vector<stats::EmpiricalCdf> cdfs;
+  cdfs.reserve(model.marginal_counts.size());
+  for (const auto& counts : model.marginal_counts) {
+    DPC_ASSIGN_OR_RETURN(stats::EmpiricalCdf cdf,
+                         stats::EmpiricalCdf::FromCounts(counts));
+    cdfs.push_back(std::move(cdf));
   }
-  if (family == CopulaFamily::kStudentT) {
-    return SamplingPlan::StudentT(schema, marginal_cdfs, correlation, t_dof);
-  }
-  if (family == CopulaFamily::kEmpirical && grid) {
-    return SamplingPlan::Empirical(schema, marginal_cdfs, std::move(*grid));
-  }
-  return Status::InvalidArgument(
-      "only the gaussian and student-t families can be sampled from a model");
+  return cdfs;
 }
 
-Result<SynthesisResult> Synthesize(const data::Table& table,
-                                   const DpCopulaOptions& options, Rng* rng) {
-  static obs::Counter* const runs_counter =
-      obs::MetricsRegistry::Global().GetCounter("core.synthesize_runs");
-  static obs::Histogram* const run_seconds =
-      obs::MetricsRegistry::Global().GetHistogram("core.synthesize_seconds");
-  obs::Span run_span("synthesize", run_seconds);
-  runs_counter->Increment();
+Result<copula::SamplingPlan> BuildSamplingPlan(const DpCopulaModel& model) {
+  using copula::SamplingPlan;
+  DPC_ASSIGN_OR_RETURN(const std::vector<stats::EmpiricalCdf> cdfs,
+                       ModelMarginalCdfs(model));
+  if (model.family == CopulaFamily::kGaussian) {
+    return SamplingPlan::Gaussian(model.schema, cdfs, model.correlation);
+  }
+  if (model.family == CopulaFamily::kStudentT) {
+    return SamplingPlan::StudentT(model.schema, cdfs, model.correlation,
+                                  model.t_dof);
+  }
+  if (model.family == CopulaFamily::kEmpirical && model.grid) {
+    return SamplingPlan::Empirical(model.schema, cdfs, model.grid);
+  }
+  return Status::InvalidArgument(
+      "a model samples as gaussian, student-t, or empirical with its grid");
+}
 
+Result<SynthesisResult> Fit(const data::Table& table,
+                            const DpCopulaOptions& options, Rng* rng) {
   const std::size_t m = table.num_columns();
   if (m == 0) return Status::InvalidArgument("table has no columns");
   DPC_RETURN_NOT_OK(table.Validate());
@@ -101,10 +105,12 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
                                     : table.num_rows();
   const double scaled_rows =
       static_cast<double>(base_rows) * options.oversample_factor;
-  // llround is only defined for results a long long can hold; this also
-  // refuses an infinite oversample_factor.
-  if (!(scaled_rows < 0x1p63)) {
-    return Status::InvalidArgument("synthetic row count must be below 2^63");
+  // Sample refuses a row count past the longest column; refuse it here,
+  // before any charge. The bound also keeps llround defined and refuses an
+  // infinite oversample_factor.
+  if (!(scaled_rows < static_cast<double>(copula::kMaxSampleRows))) {
+    return Status::InvalidArgument(
+        "synthetic row count exceeds the longest column a table can hold");
   }
   const auto out_rows = static_cast<std::size_t>(std::llround(scaled_rows));
 
@@ -117,6 +123,9 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
 
   SynthesisResult result;
   result.budget = dp::BudgetAccountant(options.epsilon, "dpcopula");
+  DpCopulaModel& model = result.model;
+  model.schema = table.schema();
+  model.fitted_rows = out_rows;
 
   // A single attribute has no dependence structure: the entire budget goes
   // to its margin. Otherwise split per the ratio k.
@@ -141,9 +150,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
   // every publisher calibrates to is 1 (add/remove one record changes one
   // bin by 1).
   const double eps_per_margin = epsilon1 / static_cast<double>(m);
-  std::vector<stats::EmpiricalCdf> cdfs;
-  cdfs.reserve(m);
-  result.noisy_marginals.reserve(m);
+  model.marginal_counts.reserve(m);
   {
     obs::Span margins_span("margins");
     for (std::size_t j = 0; j < m; ++j) {
@@ -161,11 +168,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
       // simplex matching the noisy total, rather than clamping negatives —
       // clamping alone would inject phantom mass proportional to the domain
       // size, which dominates at small epsilon.
-      noisy = marginals::ProjectToNoisyTotal(noisy);
-      DPC_ASSIGN_OR_RETURN(stats::EmpiricalCdf cdf,
-                           stats::EmpiricalCdf::FromCounts(noisy));
-      cdfs.push_back(std::move(cdf));
-      result.noisy_marginals.push_back(std::move(noisy));
+      model.marginal_counts.push_back(marginals::ProjectToNoisyTotal(noisy));
     }
   }
 
@@ -181,12 +184,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
       (options.family == CopulaFamily::kStudentT && options.t_dof <= 0.0);
   double eps_family = 0.0;
   if (family_vote_possible && wants_family_vote) {
-    if (!(options.family_epsilon_fraction > 0.0 &&
-          options.family_epsilon_fraction < 1.0)) {
-      return Status::InvalidArgument(
-          "family_epsilon_fraction must be in (0, 1)");
-    }
-    eps_family = epsilon2 * options.family_epsilon_fraction;
+    eps_family = epsilon2 * kFamilyEpsilonFraction;
     epsilon2 -= eps_family;
   }
 
@@ -199,17 +197,18 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
   // failed estimate either fails the run closed (nothing released) or —
   // with allow_degraded_correlation — degrades to an identity correlation
   // over the already-published margins.
-  std::optional<copula::EmpiricalCopula> grid;
   if (options.family == CopulaFamily::kEmpirical && estimate_correlation) {
     DPC_RETURN_NOT_OK(result.budget.Charge(epsilon2, "copula:empirical",
                                            /*sensitivity=*/1.0));
     obs::Span empirical_span("correlation");
     DPC_ASSIGN_OR_RETURN(auto pseudo, copula::PseudoObservations(table));
     DPC_ASSIGN_OR_RETURN(
-        grid, copula::EmpiricalCopula::FitDp(pseudo, options.empirical_grid,
-                                             epsilon2, rng));
-    result.correlation = linalg::Matrix::Identity(m);
-    result.family_used = CopulaFamily::kEmpirical;
+        copula::EmpiricalCopula grid,
+        copula::EmpiricalCopula::FitDp(pseudo, kEmpiricalGrid, epsilon2, rng));
+    model.grid =
+        std::make_shared<const copula::EmpiricalCopula>(std::move(grid));
+    model.correlation = linalg::Matrix::Identity(m);
+    model.family = CopulaFamily::kEmpirical;
   } else if (estimate_correlation) {
     static obs::Counter* const degraded_counter =
         obs::MetricsRegistry::Global().GetCounter(
@@ -238,7 +237,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
           // only known once the estimator picked its subsample.
           result.budget.AnnotateLastChargeSensitivity(
               4.0 / (static_cast<double>(est->rows_used) + 1.0));
-          result.correlation = std::move(est->correlation);
+          model.correlation = std::move(est->correlation);
           result.kendall_rows_used = est->rows_used;
           result.correlation_repaired = est->repaired;
           break;
@@ -260,7 +259,7 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
           result.budget.AnnotateLastChargeSensitivity(
               2.0 / static_cast<double>(est->num_partitions -
                                         est->failed_partitions));
-          result.correlation = std::move(est->correlation);
+          model.correlation = std::move(est->correlation);
           result.mle_partitions = est->num_partitions;
           result.partitions_failed = est->failed_partitions;
           result.correlation_repaired = est->repaired;
@@ -273,11 +272,11 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
       degraded_counter->Increment();
       obs::Log(obs::LogLevel::kWarn, "synthesize.correlation_degraded")
           .Field("columns", m);
-      result.correlation = linalg::Matrix::Identity(m);
+      model.correlation = linalg::Matrix::Identity(m);
       result.correlation_degraded = true;
     }
   } else {
-    result.correlation = linalg::Matrix::Identity(m);
+    model.correlation = linalg::Matrix::Identity(m);
   }
 
   // Resolve the copula family (extension beyond the paper's Gaussian
@@ -287,26 +286,26 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
                                options.family == CopulaFamily::kAutoAic)) {
     obs::Span family_span("family_selection");
     if (options.family == CopulaFamily::kStudentT && options.t_dof > 0.0) {
-      result.family_used = CopulaFamily::kStudentT;
-      result.t_dof_used = options.t_dof;
+      model.family = CopulaFamily::kStudentT;
+      model.t_dof = options.t_dof;
     } else if (family_vote_possible) {
       DPC_ASSIGN_OR_RETURN(auto pseudo, copula::PseudoObservations(table));
       if (options.family == CopulaFamily::kStudentT) {
         DPC_RETURN_NOT_OK(result.budget.Charge(eps_family, "family:t-dof",
                                                /*sensitivity=*/1.0));
         DPC_ASSIGN_OR_RETURN(
-            result.t_dof_used,
-            copula::EstimateTCopulaDofPrivate(pseudo, result.correlation,
+            model.t_dof,
+            copula::EstimateTCopulaDofPrivate(pseudo, model.correlation,
                                               eps_family, rng,
                                               kFamilyVotePartitions));
-        result.family_used = CopulaFamily::kStudentT;
+        model.family = CopulaFamily::kStudentT;
       } else {  // kAutoAic.
         DPC_RETURN_NOT_OK(
             result.budget.Charge(eps_family / 2.0, "family:aic-vote",
                                  /*sensitivity=*/1.0));
         DPC_ASSIGN_OR_RETURN(
             bool t_wins,
-            copula::TCopulaFitsBetterPrivate(pseudo, result.correlation,
+            copula::TCopulaFitsBetterPrivate(pseudo, model.correlation,
                                              eps_family / 2.0, rng,
                                              kFamilyVotePartitions));
         DPC_RETURN_NOT_OK(
@@ -314,28 +313,40 @@ Result<SynthesisResult> Synthesize(const data::Table& table,
                                  /*sensitivity=*/1.0));
         if (t_wins) {
           DPC_ASSIGN_OR_RETURN(
-              result.t_dof_used,
-              copula::EstimateTCopulaDofPrivate(pseudo, result.correlation,
+              model.t_dof,
+              copula::EstimateTCopulaDofPrivate(pseudo, model.correlation,
                                                 eps_family / 2.0, rng,
                                                 kFamilyVotePartitions));
-          result.family_used = CopulaFamily::kStudentT;
+          model.family = CopulaFamily::kStudentT;
         }
       }
     }
   }
 
-  // Step 3: sample synthetic data (Algorithm 3) — pure post-processing.
+  DPC_RETURN_NOT_OK(VerifyBudgetConsumed(result.budget, options.epsilon));
+  return result;
+}
+
+Result<SynthesisResult> Synthesize(const data::Table& table,
+                                   const DpCopulaOptions& options, Rng* rng) {
+  static obs::Counter* const runs_counter =
+      obs::MetricsRegistry::Global().GetCounter("core.synthesize_runs");
+  static obs::Histogram* const run_seconds =
+      obs::MetricsRegistry::Global().GetHistogram("core.synthesize_seconds");
+  obs::Span run_span("synthesize", run_seconds);
+  runs_counter->Increment();
+
+  DPC_ASSIGN_OR_RETURN(SynthesisResult result, Fit(table, options, rng));
+  // Step 3: sample synthetic data (Algorithm 3) — pure post-processing of
+  // the model, drawn from the same RNG right after the fit.
   {
     obs::Span sampling_span("sampling");
+    DPC_ASSIGN_OR_RETURN(const copula::SamplingPlan plan,
+                         BuildSamplingPlan(result.model));
     DPC_ASSIGN_OR_RETURN(
-        const copula::SamplingPlan plan,
-        BuildSamplingPlan(table.schema(), cdfs, result.family_used,
-                          result.correlation, result.t_dof_used,
-                          std::move(grid)));
-    DPC_ASSIGN_OR_RETURN(result.synthetic,
-                         plan.Sample(out_rows, rng, options.num_threads));
+        result.synthetic,
+        plan.Sample(result.model.fitted_rows, rng, options.num_threads));
   }
-  DPC_RETURN_NOT_OK(VerifyBudgetConsumed(result.budget, options.epsilon));
   obs::Log(obs::LogLevel::kInfo, "synthesize.done")
       .Field("out_rows", result.synthetic.num_rows())
       .Field("budget_spent", result.budget.spent())

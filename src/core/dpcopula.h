@@ -2,7 +2,7 @@
 #define DPCOPULA_CORE_DPCOPULA_H_
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -15,6 +15,7 @@
 #include "dp/budget.h"
 #include "linalg/matrix.h"
 #include "marginals/marginal_method.h"
+#include "stats/empirical_cdf.h"
 
 namespace dpcopula::core {
 
@@ -36,9 +37,16 @@ enum class CopulaFamily {
   kStudentT,   // Fixed or privately estimated dof (see t_dof).
   kAutoAic,    // Private per-partition AIC vote between Gaussian and t.
   kEmpirical,  // Non-parametric checkerboard copula (low m only: the grid
-               // has empirical_grid^m cells). Replaces the correlation
+               // has kEmpiricalGrid^m cells). Replaces the correlation
                // matrix entirely; epsilon2 buys the DP copula grid.
 };
+
+/// Cells per axis of the kEmpirical checkerboard grid.
+inline constexpr std::int64_t kEmpiricalGrid = 8;
+
+/// Share of epsilon2 spent on the private dof / family vote when the family
+/// is kStudentT with t_dof == 0 or kAutoAic.
+inline constexpr double kFamilyEpsilonFraction = 0.2;
 
 /// Options for one DPCopula synthesis run. Defaults follow the paper's
 /// Table 3.
@@ -64,16 +72,9 @@ struct DpCopulaOptions {
   CopulaFamily family = CopulaFamily::kGaussian;
 
   /// Degrees of freedom for kStudentT. 0 estimates the dof privately
-  /// (sample-and-aggregate vote), spending `family_epsilon_fraction` of
+  /// (sample-and-aggregate vote), spending kFamilyEpsilonFraction of
   /// epsilon2.
   double t_dof = 0.0;
-
-  /// Share of epsilon2 spent on private dof/family selection when the
-  /// family is kStudentT with t_dof == 0 or kAutoAic.
-  double family_epsilon_fraction = 0.2;
-
-  /// Cells per axis of the kEmpirical checkerboard grid.
-  std::int64_t empirical_grid = 8;
 
   /// Number of synthetic rows to emit; 0 means "same as the input". (The
   /// hybrid algorithm passes the noisy per-partition counts here.)
@@ -106,11 +107,35 @@ struct DpCopulaOptions {
   bool allow_degraded_correlation = false;
 };
 
+/// A fitted DPCopula model: everything needed to sample synthetic data
+/// without touching the original records again. Because every field is
+/// itself a differentially private release, the model can be published,
+/// stored and re-sampled arbitrarily often at no additional privacy cost —
+/// often more useful to a consumer than a single synthetic table.
+struct DpCopulaModel {
+  data::Schema schema;
+  /// Post-processed noisy marginal counts, one vector per attribute.
+  std::vector<std::vector<double>> marginal_counts;
+  /// DP correlation matrix (valid: unit diagonal, positive definite); the
+  /// identity for kEmpirical.
+  linalg::Matrix correlation;
+  /// The fitted family: kGaussian, kStudentT or kEmpirical, never kAutoAic.
+  CopulaFamily family = CopulaFamily::kGaussian;
+  double t_dof = 0.0;  // Only meaningful for kStudentT.
+  /// The DP checkerboard grid of a kEmpirical fit. Shared with every plan
+  /// built from the model, since a grid can reach 2^26 cells. Model files
+  /// cannot hold it.
+  std::shared_ptr<const copula::EmpiricalCopula> grid;
+  /// Row count of the fitting release: the input rows (or
+  /// num_synthetic_rows when set) times oversample_factor, rounded. The
+  /// default sample size.
+  std::size_t fitted_rows = 0;
+};
+
 /// Everything a synthesis run releases, plus diagnostics.
 struct SynthesisResult {
-  data::Table synthetic;           // The DP synthetic dataset D~.
-  linalg::Matrix correlation;      // The DP correlation matrix P~.
-  std::vector<std::vector<double>> noisy_marginals;  // Per-attribute counts.
+  data::Table synthetic;  // The DP synthetic dataset D~ (empty after Fit).
+  DpCopulaModel model;    // The DP model D~ was sampled from.
   dp::BudgetAccountant budget{0.0};  // Charge log (total == options.epsilon).
   // Estimator diagnostics (whichever was used is populated).
   std::int64_t kendall_rows_used = 0;
@@ -121,33 +146,37 @@ struct SynthesisResult {
   // was abandoned for the identity fallback (allow_degraded_correlation).
   std::int64_t partitions_failed = 0;
   bool correlation_degraded = false;
-  // Copula family actually sampled from, and the dof if Student-t.
-  CopulaFamily family_used = CopulaFamily::kGaussian;
-  double t_dof_used = 0.0;
 };
 
-/// Runs DPCopula end to end (Algorithm 1 or 4 depending on the estimator):
-/// DP marginal histograms with epsilon1/m each, DP correlation matrix with
-/// epsilon2, then Algorithm 3 sampling. Consumes exactly `options.epsilon`.
+/// Fits the DP model (Algorithm 1 or 4 depending on the estimator): DP
+/// marginal histograms with epsilon1/m each, then the DP correlation matrix
+/// (or empirical grid) and the family vote with epsilon2. Consumes exactly
+/// `options.epsilon`, audited before returning; `synthetic` stays empty.
+/// A row count no table can hold is InvalidArgument before any charge.
 ///
 /// Degenerate inputs are handled as the hybrid algorithm requires: a single
 /// column spends the full budget on its margin, and tables with fewer than
 /// two rows fall back to an identity correlation (their margins still go
 /// through the DP publisher, so the guarantee is unchanged).
+Result<SynthesisResult> Fit(const data::Table& table,
+                            const DpCopulaOptions& options, Rng* rng);
+
+/// Runs DPCopula end to end: Fit, then Algorithm 3 (pure post-processing)
+/// samples the model's fitted_rows from the same RNG.
 Result<SynthesisResult> Synthesize(const data::Table& table,
                                    const DpCopulaOptions& options, Rng* rng);
 
-/// Compiles a fitted family into its sampling plan — the one place that maps
-/// a CopulaFamily onto the plan factories (Synthesize, SampleFromModel and
-/// the serving registry all build plans here). kEmpirical needs its fitted
-/// DP grid in `grid`; a model file holds none, and kAutoAic always resolves
+/// One CDF per model margin, in schema order.
+Result<std::vector<stats::EmpiricalCdf>> ModelMarginalCdfs(
+    const DpCopulaModel& model);
+
+/// Compiles a fitted model into its sampling plan — the one place that
+/// maps a CopulaFamily onto the plan factories (Synthesize, SampleFromModel,
+/// the serving registry and streaming all build plans here). kEmpirical
+/// needs its grid, which a loaded model lacks, and kAutoAic always resolves
 /// to a concrete family before sampling, so both are InvalidArgument
 /// otherwise.
-Result<copula::SamplingPlan> BuildSamplingPlan(
-    const data::Schema& schema,
-    const std::vector<stats::EmpiricalCdf>& marginal_cdfs, CopulaFamily family,
-    const linalg::Matrix& correlation, double t_dof,
-    std::optional<copula::EmpiricalCopula> grid = std::nullopt);
+Result<copula::SamplingPlan> BuildSamplingPlan(const DpCopulaModel& model);
 
 /// The (epsilon1, epsilon2) split implied by `options`.
 struct BudgetSplit {

@@ -99,17 +99,12 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
   if (!(options.epsilon > 0.0)) {
     return Status::InvalidArgument("hybrid: epsilon must be > 0");
   }
-  if (!(options.partition_count_fraction > 0.0 &&
-        options.partition_count_fraction < 1.0)) {
-    return Status::InvalidArgument(
-        "hybrid: partition_count_fraction must be in (0, 1)");
-  }
   const auto& schema = table.schema();
 
   std::vector<std::size_t> small_cols, large_cols;
   std::vector<data::Attribute> large_attrs;
   for (std::size_t j = 0; j < schema.num_attributes(); ++j) {
-    if (schema.attribute(j).domain_size < options.small_domain_threshold) {
+    if (schema.attribute(j).domain_size < kSmallDomainThreshold) {
       small_cols.push_back(j);
     } else {
       large_cols.push_back(j);
@@ -124,7 +119,7 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
     DpCopulaOptions inner = options.inner;
     inner.epsilon = options.epsilon;
     inner.num_synthetic_rows = 0;
-    inner.allow_degraded_correlation = options.allow_degraded_partitions;
+    inner.allow_degraded_correlation = true;
     DPC_ASSIGN_OR_RETURN(SynthesisResult res, Synthesize(table, inner, rng));
     HybridResult out;
     out.synthetic = std::move(res.synthetic);
@@ -142,9 +137,10 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
   std::int64_t num_partitions = 1;
   for (std::size_t t = small_cols.size(); t-- > 0;) {
     const std::int64_t d = schema.attribute(small_cols[t]).domain_size;
-    if (num_partitions > options.max_partitions / d) {
+    if (num_partitions > kMaxPartitions / d) {
       return Status::ResourceExhausted(
-          "hybrid: small-domain partition count exceeds max_partitions");
+          "hybrid: small-domain partition count exceeds " +
+          std::to_string(kMaxPartitions));
     }
     stride[t] = static_cast<std::size_t>(num_partitions);
     num_partitions *= d;
@@ -159,7 +155,7 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
       const RowRanges ranges,
       SortRowsByPartition(table, small_cols, stride, partitions));
 
-  const double eps_counts = options.epsilon * options.partition_count_fraction;
+  const double eps_counts = options.epsilon * kPartitionCountFraction;
   const double eps_copula = options.epsilon - eps_counts;
 
   HybridResult out;
@@ -208,8 +204,8 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
     bool degraded = false;
   };
   std::vector<Partition> parts(partitions);
-  const Status too_many_rows =
-      Status::InvalidArgument("synthetic row count must be below 2^63");
+  const Status too_many_rows = Status::InvalidArgument(
+      "synthetic row count exceeds the longest column a table can hold");
   std::size_t total_rows = 0;
   for (std::size_t p = 0; p < partitions; ++p) {
     const double noisy =
@@ -225,7 +221,7 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
     part.synth_rows = static_cast<std::size_t>(n_synth);
     part.out_begin = total_rows;
     part.out_rows = static_cast<std::size_t>(std::llround(scaled));
-    if (part.out_rows >= (std::size_t{1} << 63) - total_rows) {
+    if (part.out_rows > copula::kMaxSampleRows - total_rows) {
       return too_many_rows;
     }
     total_rows += part.out_rows;
@@ -289,8 +285,7 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
           DpCopulaOptions inner = options.inner;
           inner.epsilon = eps_copula;
           inner.num_synthetic_rows = part.synth_rows;
-          inner.allow_degraded_correlation =
-              options.allow_degraded_partitions;
+          inner.allow_degraded_correlation = true;
           auto res = Synthesize(*input, inner, &part_rngs[p]);
           if (!res.ok()) {
             part.status = res.status();

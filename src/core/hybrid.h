@@ -11,27 +11,38 @@
 
 namespace dpcopula::core {
 
+/// Attributes with domain_size < this threshold are the small-domain
+/// partitioning attributes of Algorithm 6 (the paper uses 10).
+inline constexpr std::int64_t kSmallDomainThreshold = 10;
+
+/// Fraction of the total budget spent on the noisy partition counts
+/// (epsilon1 of Algorithm 6). The counts are over disjoint partitions, so
+/// parallel composition applies.
+inline constexpr double kPartitionCountFraction = 0.1;
+
+/// Hard cap on the number of partitions (product of small domains);
+/// exceeding it fails loudly instead of exploding.
+inline constexpr std::int64_t kMaxPartitions = 4096;
+
 /// Options for DPCopula-Hybrid (Algorithm 6), which handles datasets mixing
-/// small-domain attributes (domain < 10, e.g. gender) with large-domain
-/// ones: partition on the small-domain attributes, release noisy partition
-/// counts, run DPCopula inside each partition.
+/// small-domain attributes (domain < kSmallDomainThreshold, e.g. gender)
+/// with large-domain ones: partition on the small-domain attributes,
+/// release noisy partition counts, run DPCopula inside each partition.
+///
+/// Degradation policy: when a partition's inner copula fit fails (its
+/// correlation estimate is degenerate — e.g. the partition is too small or
+/// ill-conditioned), that partition is synthesized from its DP margins
+/// alone (identity correlation) instead of failing the whole hybrid run.
+/// The budget story is unchanged: every partition's charges happen up front
+/// and are never refunded, and independent margins are post-processing of
+/// the same release. Degraded partitions are counted in
+/// HybridResult::degraded_partitions: one bad partition out of hundreds
+/// should cost accuracy there, not the run.
 struct HybridOptions {
-  /// Attributes with domain_size < this threshold are treated as
-  /// small-domain partitioning attributes (the paper uses 10).
-  std::int64_t small_domain_threshold = 10;
-
-  /// Fraction of the total budget spent on the noisy partition counts
-  /// (epsilon1 of Algorithm 6). The counts are over disjoint partitions, so
-  /// parallel composition applies.
-  double partition_count_fraction = 0.1;
-
-  /// Hard cap on the number of partitions (product of small domains);
-  /// exceeding it fails loudly instead of exploding.
-  std::int64_t max_partitions = 4096;
-
-  /// Options for the per-partition DPCopula runs. `epsilon` and
-  /// `num_synthetic_rows` inside are ignored — the hybrid supplies
-  /// (1 - partition_count_fraction) * epsilon and the noisy counts.
+  /// Options for the per-partition DPCopula runs. `epsilon`,
+  /// `num_synthetic_rows` and `allow_degraded_correlation` inside are
+  /// ignored — the hybrid supplies (1 - kPartitionCountFraction) * epsilon,
+  /// the noisy counts and the degradation policy above.
   /// `oversample_factor` applies per partition: a partition with noisy
   /// count n emits llround(n * oversample_factor) rows, every column of
   /// them, in the contingency case (no large-domain attribute) too.
@@ -39,17 +50,6 @@ struct HybridOptions {
 
   /// Total privacy budget of the hybrid release.
   double epsilon = 1.0;
-
-  /// Degradation policy: when a partition's inner copula fit fails (its
-  /// correlation estimate is degenerate — e.g. the partition is too small
-  /// or ill-conditioned), synthesize that partition from its DP margins
-  /// alone (identity correlation) instead of failing the whole hybrid run.
-  /// The budget story is unchanged: every partition's charges happen up
-  /// front and are never refunded, and independent margins are
-  /// post-processing of the same release. Degraded partitions are counted
-  /// in HybridResult::degraded_partitions. On by default — one bad
-  /// partition out of hundreds should cost accuracy there, not the run.
-  bool allow_degraded_partitions = true;
 
   /// Worker threads (shared ThreadPool) for the per-partition DPCopula
   /// runs. Each partition's noise draws come from an RNG pre-split in
@@ -68,7 +68,7 @@ struct HybridResult {
   std::int64_t num_partitions = 0;
   std::int64_t num_skipped_partitions = 0;  // Noisy count <= 0.
   /// Partitions whose copula fit failed and were synthesized from margins
-  /// alone (see HybridOptions::allow_degraded_partitions).
+  /// alone (see HybridOptions).
   std::int64_t degraded_partitions = 0;
   double epsilon_counts = 0.0;
   double epsilon_copula = 0.0;

@@ -1,46 +1,27 @@
 #include "core/model_io.h"
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
-#include <sstream>
 
 #include "common/atomic_file.h"
 #include "common/failpoint.h"
+#include "common/parse_number.h"
 #include "linalg/psd_repair.h"
 
 namespace dpcopula::core {
 
 DpCopulaModel ModelFromSynthesis(const data::Schema& schema,
                                  const SynthesisResult& result) {
-  DpCopulaModel model;
+  DpCopulaModel model = result.model;
   model.schema = schema;
-  model.marginal_counts = result.noisy_marginals;
-  model.correlation = result.correlation;
-  model.family = result.family_used;
-  model.t_dof = result.t_dof_used;
-  model.fitted_rows = result.synthetic.num_rows();
   return model;
-}
-
-Result<std::vector<stats::EmpiricalCdf>> ModelMarginalCdfs(
-    const DpCopulaModel& model) {
-  std::vector<stats::EmpiricalCdf> cdfs;
-  cdfs.reserve(model.marginal_counts.size());
-  for (const auto& counts : model.marginal_counts) {
-    DPC_ASSIGN_OR_RETURN(stats::EmpiricalCdf cdf,
-                         stats::EmpiricalCdf::FromCounts(counts));
-    cdfs.push_back(std::move(cdf));
-  }
-  return cdfs;
 }
 
 Result<data::Table> SampleFromModel(const DpCopulaModel& model,
                                     std::size_t num_rows, Rng* rng) {
-  DPC_ASSIGN_OR_RETURN(const std::vector<stats::EmpiricalCdf> cdfs,
-                       ModelMarginalCdfs(model));
   DPC_ASSIGN_OR_RETURN(const copula::SamplingPlan plan,
-                       BuildSamplingPlan(model.schema, cdfs, model.family,
-                                         model.correlation, model.t_dof));
+                       BuildSamplingPlan(model));
   return plan.Sample(num_rows > 0 ? num_rows : model.fitted_rows, rng);
 }
 
@@ -90,13 +71,7 @@ Status ParseError(const std::string& what) {
 
 }  // namespace
 
-Result<DpCopulaModel> LoadModel(const std::string& path,
-                                const LoadModelOptions& options) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  if (DPC_FAILPOINT("model.load.open")) {
-    return failpoint::InjectedFault("model.load.open");
-  }
+Result<DpCopulaModel> ParseModel(std::istream& in) {
   std::string line;
   if (!std::getline(in, line) || line != "DPCOPULA-MODEL v1") {
     return ParseError("bad header");
@@ -142,9 +117,14 @@ Result<DpCopulaModel> LoadModel(const std::string& path,
   if (model.family == CopulaFamily::kStudentT && !(model.t_dof > 0.0)) {
     return ParseError("student-t family requires positive dof");
   }
-  if (!(in >> token >> model.fitted_rows) || token != "fitted_rows") {
+  // Strict: operator>> would wrap "-5" to 2^64 - 5.
+  std::string rows;
+  std::uint64_t fitted_rows = 0;
+  if (!(in >> token >> rows) || token != "fitted_rows" ||
+      !ParseUint64(rows, &fitted_rows)) {
     return ParseError("fitted_rows");
   }
+  model.fitted_rows = fitted_rows;
 
   model.marginal_counts.resize(num_attrs);
   for (std::size_t j = 0; j < num_attrs; ++j) {
@@ -179,19 +159,27 @@ Result<DpCopulaModel> LoadModel(const std::string& path,
       }
     }
   }
+  // Validate (and gently repair round-tripped) correlation matrices.
+  DPC_ASSIGN_OR_RETURN(model.correlation,
+                       linalg::EnsureCorrelationMatrix(model.correlation));
+  return model;
+}
+
+Result<DpCopulaModel> LoadModel(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open for read: " + path);
+  if (DPC_FAILPOINT("model.load.open")) {
+    return failpoint::InjectedFault("model.load.open");
+  }
+  DPC_ASSIGN_OR_RETURN(DpCopulaModel model, ParseModel(in));
   // The correlation block is the last section of a model file: any further
   // non-whitespace bytes mean the file is corrupt (appended garbage, a
   // doubled write, or a streaming-state file loaded through the wrong
   // entry point) and the load fails closed.
-  if (!options.allow_trailing) {
-    std::string trailing;
-    if (in >> trailing) {
-      return ParseError("trailing data after correlation block");
-    }
+  std::string trailing;
+  if (in >> trailing) {
+    return ParseError("trailing data after correlation block");
   }
-  // Validate (and gently repair round-tripped) correlation matrices.
-  DPC_ASSIGN_OR_RETURN(model.correlation,
-                       linalg::EnsureCorrelationMatrix(model.correlation));
   return model;
 }
 

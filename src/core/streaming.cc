@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "common/atomic_file.h"
 #include "common/failpoint.h"
+#include "common/parse_number.h"
 #include "linalg/psd_repair.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -17,10 +19,12 @@ namespace dpcopula::core {
 
 StreamingSynthesizer::StreamingSynthesizer(data::Schema schema,
                                            Options options)
-    : schema_(std::move(schema)), options_(std::move(options)) {}
+    : options_(std::move(options)) {
+  merged_.schema = std::move(schema);
+}
 
 Status StreamingSynthesizer::Validate() const {
-  if (schema_.num_attributes() == 0) {
+  if (merged_.schema.num_attributes() == 0) {
     return Status::InvalidArgument("streaming: empty schema");
   }
   if (!(options_.epsilon_per_batch > 0.0)) {
@@ -36,7 +40,7 @@ Status StreamingSynthesizer::Ingest(const data::Table& batch, Rng* rng) {
   static obs::Counter* const batches_rejected =
       obs::MetricsRegistry::Global().GetCounter("streaming.batches_rejected");
   DPC_RETURN_NOT_OK(Validate());
-  if (!(batch.schema() == schema_)) {
+  if (!(batch.schema() == merged_.schema)) {
     return Status::InvalidArgument("streaming: batch schema mismatch");
   }
   if (batch.num_rows() == 0) {
@@ -48,7 +52,7 @@ Status StreamingSynthesizer::Ingest(const data::Table& batch, Rng* rng) {
   fit.epsilon = options_.epsilon_per_batch;
   fit.num_synthetic_rows = 0;
   fit.oversample_factor = 1.0;
-  Result<SynthesisResult> result = core::Synthesize(batch, fit, rng);
+  Result<SynthesisResult> result = Fit(batch, fit, rng);
   if (!result.ok()) {
     // Poisoned batch: the fit failed, the accumulated model is untouched
     // (nothing below has run) and ingestion can continue with later batches.
@@ -59,45 +63,44 @@ Status StreamingSynthesizer::Ingest(const data::Table& batch, Rng* rng) {
     return result.status();
   }
 
+  const DpCopulaModel& fitted = result->model;
   // Batch weight: the noisy marginal mass is itself a DP estimate of the
   // batch size (post-processing of already-released counts).
   double batch_weight = 0.0;
-  for (double v : result->noisy_marginals[0]) {
+  for (double v : fitted.marginal_counts[0]) {
     batch_weight += std::max(0.0, v);
   }
   batch_weight = std::max(1.0, batch_weight);
 
-  // Stage the post-merge state into locals; the members are committed only
+  // Stage the post-merge state into a copy; the member is committed only
   // once every step has succeeded, so a failure mid-merge (or the injected
   // fault below) rejects the batch without corrupting the accumulated model.
-  const std::size_t m = schema_.num_attributes();
-  std::vector<std::vector<double>> staged_margins = merged_margins_;
-  linalg::Matrix staged_correlation = merged_correlation_;
-  if (num_batches_ == 0) {
-    staged_margins.assign(m, {});
-    for (std::size_t j = 0; j < m; ++j) {
-      staged_margins[j].assign(
-          static_cast<std::size_t>(schema_.attribute(j).domain_size), 0.0);
+  const std::size_t m = merged_.schema.num_attributes();
+  DpCopulaModel staged = merged_;
+  if (num_batches_ == 0) {  // Merge into zeros of the batch model's shape.
+    staged.marginal_counts = fitted.marginal_counts;
+    for (auto& margin : staged.marginal_counts) {
+      margin.assign(margin.size(), 0.0);
     }
-    staged_correlation = linalg::Matrix(m, m);
+    staged.correlation = linalg::Matrix(m, m);
   }
 
   // Age out history, then merge.
   const double old_weight = weight_ * options_.decay;
-  for (auto& margin : staged_margins) {
+  for (auto& margin : staged.marginal_counts) {
     for (double& v : margin) v *= options_.decay;
   }
   // Margins are additive over disjoint batches.
   for (std::size_t j = 0; j < m; ++j) {
-    const auto& batch_margin = result->noisy_marginals[j];
+    const auto& batch_margin = fitted.marginal_counts[j];
     for (std::size_t v = 0; v < batch_margin.size(); ++v) {
-      staged_margins[j][v] += std::max(0.0, batch_margin[v]);
+      staged.marginal_counts[j][v] += std::max(0.0, batch_margin[v]);
     }
   }
   // Correlations: weighted mean of per-batch DP estimates.
   const double total_weight = old_weight + batch_weight;
-  staged_correlation = staged_correlation.Scaled(old_weight / total_weight) +
-                       result->correlation.Scaled(batch_weight / total_weight);
+  staged.correlation = staged.correlation.Scaled(old_weight / total_weight) +
+                       fitted.correlation.Scaled(batch_weight / total_weight);
 
   if (DPC_FAILPOINT_AT("streaming.ingest.merge", num_batches_)) {
     batches_rejected->Increment();
@@ -108,8 +111,7 @@ Status StreamingSynthesizer::Ingest(const data::Table& batch, Rng* rng) {
   }
 
   // Commit.
-  merged_margins_ = std::move(staged_margins);
-  merged_correlation_ = std::move(staged_correlation);
+  merged_ = std::move(staged);
   weight_ = total_weight;
   ++num_batches_;
   return Status::OK();
@@ -119,14 +121,11 @@ Result<DpCopulaModel> StreamingSynthesizer::CurrentModel() const {
   if (num_batches_ == 0) {
     return Status::FailedPrecondition("streaming: no batches ingested");
   }
-  DpCopulaModel model;
-  model.schema = schema_;
-  model.marginal_counts = merged_margins_;
+  DpCopulaModel model = merged_;
   // The weighted mean of valid correlation matrices can drift off the
   // PD manifold after decay; repair to a valid correlation matrix.
   DPC_ASSIGN_OR_RETURN(model.correlation,
-                       linalg::EnsureCorrelationMatrix(merged_correlation_));
-  model.family = CopulaFamily::kGaussian;
+                       linalg::EnsureCorrelationMatrix(merged_.correlation));
   // The accumulated weight is unbounded (it grows with every batch under
   // decay 1.0, and a restored state may carry an arbitrarily large value);
   // llround on a double past the long long range is undefined behavior, so
@@ -170,36 +169,30 @@ Status StreamingSynthesizer::SaveState(const std::string& path) const {
 
 Result<StreamingSynthesizer> StreamingSynthesizer::RestoreState(
     const std::string& path, Options options) {
-  // The streaming counters legitimately follow the correlation block, so
-  // this is the one loader that opts out of the trailing-bytes rejection.
-  LoadModelOptions load_options;
-  load_options.allow_trailing = true;
-  DPC_ASSIGN_OR_RETURN(DpCopulaModel model, LoadModel(path, load_options));
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open for read: " + path);
+  DPC_ASSIGN_OR_RETURN(DpCopulaModel model, ParseModel(in));
+  // Exactly the two counters SaveState appends, in its order, and nothing
+  // after them. NaN fails every `< 0.0` comparison, so the weight must be
+  // required finite explicitly; a batch count must be a plain integer, or
+  // "-1" would wrap to 2^64 - 1.
+  std::string weight_key, weight_text, batches_key, batches_text, trailing;
+  double weight = 0.0;
+  std::uint64_t batches = 0;
+  if (!(in >> weight_key >> weight_text >> batches_key >> batches_text) ||
+      weight_key != "streaming_weight" || !ParseDouble(weight_text, &weight) ||
+      !std::isfinite(weight) || weight < 0.0 ||
+      batches_key != "streaming_batches" ||
+      !ParseUint64(batches_text, &batches) || batches == 0 ||
+      (in >> trailing)) {
+    return Status::IOError("bad streaming counters in " + path);
+  }
   StreamingSynthesizer s(model.schema, std::move(options));
   DPC_RETURN_NOT_OK(s.Validate());
-  // Parse the appended counters.
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open: " + path);
-  std::string token;
-  double weight = -1.0;
-  std::size_t batches = 0;
-  while (in >> token) {
-    if (token == "streaming_weight") {
-      if (!(in >> weight)) break;
-    } else if (token == "streaming_batches") {
-      if (!(in >> batches)) break;
-    }
-  }
-  // NaN fails every `< 0.0` comparison, so the old guard accepted a NaN
-  // (or Inf) weight and poisoned every later merge; require a finite,
-  // non-negative value explicitly.
-  if (!std::isfinite(weight) || weight < 0.0 || batches == 0) {
-    return Status::IOError("missing streaming counters in " + path);
-  }
   s.weight_ = weight;
   s.num_batches_ = batches;
-  s.merged_margins_ = std::move(model.marginal_counts);
-  s.merged_correlation_ = std::move(model.correlation);
+  s.merged_.marginal_counts = std::move(model.marginal_counts);
+  s.merged_.correlation = std::move(model.correlation);
   return s;
 }
 

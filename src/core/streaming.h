@@ -1,9 +1,7 @@
 #ifndef DPCOPULA_CORE_STREAMING_H_
 #define DPCOPULA_CORE_STREAMING_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -48,8 +46,9 @@ class StreamingSynthesizer {
   /// Validates construction parameters.
   Status Validate() const;
 
-  /// Ingests one batch of new records; fits a DP model on the batch and
-  /// merges it into the accumulated model.
+  /// Ingests one batch of new records; fits a DP model on the batch (Fit,
+  /// which leaves `rng` where the fit does: nothing is sampled) and merges
+  /// it into the accumulated model.
   Status Ingest(const data::Table& batch, Rng* rng);
 
   /// Number of batches merged so far.
@@ -72,17 +71,21 @@ class StreamingSynthesizer {
   Status SaveState(const std::string& path) const;
 
   /// Restores a synthesizer from SaveState output; `options` supplies the
-  /// go-forward ingestion parameters (budget, decay).
+  /// go-forward ingestion parameters (budget, decay). The file must hold a
+  /// model body, then exactly `streaming_weight` (finite, >= 0) and
+  /// `streaming_batches` (an integer >= 1), and nothing after them;
+  /// anything else is IOError.
   static Result<StreamingSynthesizer> RestoreState(const std::string& path,
                                                    Options options);
 
  private:
-  data::Schema schema_;
   Options options_;
   std::size_t num_batches_ = 0;
   double weight_ = 0.0;  // Decayed sum of noisy batch sizes.
-  std::vector<std::vector<double>> merged_margins_;
-  linalg::Matrix merged_correlation_;  // Weighted mean (pre-repair).
+  // The schema, the summed margins and the weighted mean correlation
+  // (pre-repair); the margins and correlation are empty before the first
+  // batch.
+  DpCopulaModel merged_;
 };
 
 }  // namespace dpcopula::core

@@ -49,12 +49,10 @@ Result<std::shared_ptr<const ServedModel>> ModelRegistry::LoadFromFile(
   FileIdentity before;
   DPC_RETURN_NOT_OK(StatFile(path, &before));
   DPC_ASSIGN_OR_RETURN(core::DpCopulaModel model, core::LoadModel(path));
+  DPC_ASSIGN_OR_RETURN(copula::SamplingPlan plan,
+                       core::BuildSamplingPlan(model));
   DPC_ASSIGN_OR_RETURN(std::vector<stats::EmpiricalCdf> cdfs,
                        core::ModelMarginalCdfs(model));
-  DPC_ASSIGN_OR_RETURN(
-      copula::SamplingPlan plan,
-      core::BuildSamplingPlan(model.schema, cdfs, model.family,
-                              model.correlation, model.t_dof));
   return std::make_shared<const ServedModel>(
       ServedModel{std::move(model), std::move(cdfs), std::move(plan),
                   before.mtime_ns, before.size, before.inode});

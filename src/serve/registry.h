@@ -23,6 +23,7 @@ namespace dpcopula::serve {
 /// the family) is built once per load or reload, never per request.
 struct ServedModel {
   core::DpCopulaModel model;
+  // One CDF per margin, for samplers outside the plan (perfbench's replay).
   std::vector<stats::EmpiricalCdf> cdfs;
   copula::SamplingPlan plan;
   // File identity at load time, used to detect on-disk changes.

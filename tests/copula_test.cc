@@ -268,7 +268,7 @@ TEST(MleEstimatorTest, AutoPartitionsClampedForSmallData) {
   auto est = EstimateMleCorrelation(t, 0.5, &rng);
   ASSERT_TRUE(est.ok());
   // Paper rule would demand 80 partitions of < 4 rows; the clamp must keep
-  // >= min_partition_rows rows in each.
+  // >= kMleMinPartitionRows rows in each.
   EXPECT_GE(est->rows_per_partition, 10);
   EXPECT_TRUE(linalg::IsPositiveDefinite(est->correlation));
 }

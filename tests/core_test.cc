@@ -5,12 +5,14 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "core/dpcopula.h"
 #include "core/hybrid.h"
+#include "core/model_io.h"
 #include "data/census.h"
 #include "data/generator.h"
 #include "reference/hybrid_reference.h"
@@ -139,7 +141,7 @@ TEST(SynthesizeTest, SingleColumnSpendsAllBudgetOnMargin) {
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->budget.entries().size(), 1u);
   EXPECT_NEAR(res->budget.entries()[0].epsilon, 1.0, 1e-12);
-  EXPECT_EQ(res->correlation.rows(), 1u);
+  EXPECT_EQ(res->model.correlation.rows(), 1u);
 }
 
 TEST(SynthesizeTest, TinyTableFallsBackToIdentityCopula) {
@@ -151,7 +153,7 @@ TEST(SynthesizeTest, TinyTableFallsBackToIdentityCopula) {
   auto res = Synthesize(t, opts, &rng);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->synthetic.num_rows(), 10u);
-  EXPECT_NEAR(res->correlation(0, 1), 0.0, 1e-12);
+  EXPECT_NEAR(res->model.correlation(0, 1), 0.0, 1e-12);
 }
 
 TEST(SynthesizeTest, InvalidOptionsRejected) {
@@ -211,10 +213,15 @@ TEST(SynthesizeTest, UnrepresentableRowCountRejectedBeforeAnyCharge) {
     SCOPED_TRACE(rows);
     ExpectRejectedBeforeAnyCharge(t, opts);
   }
-  DpCopulaOptions opts;
-  opts.num_synthetic_rows = std::size_t{1} << 62;
-  opts.oversample_factor = 2.0;
-  ExpectRejectedBeforeAnyCharge(t, opts);
+  // 2^62 rows at factor 1: llround holds it, but no table column can
+  // (copula::kMaxSampleRows); refused before the fit, not after it.
+  for (const double factor : {1.0, 2.0}) {
+    DpCopulaOptions opts;
+    opts.num_synthetic_rows = std::size_t{1} << 62;
+    opts.oversample_factor = factor;
+    SCOPED_TRACE(factor);
+    ExpectRejectedBeforeAnyCharge(t, opts);
+  }
 }
 
 TEST(SynthesizeTest, OutOfDomainInputRejected) {
@@ -273,8 +280,8 @@ TEST(SynthesizeTest, StudentTFamilyWithFixedDof) {
   opts.t_dof = 4.0;
   auto res = Synthesize(t, opts, &rng);
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res->family_used, CopulaFamily::kStudentT);
-  EXPECT_DOUBLE_EQ(res->t_dof_used, 4.0);
+  EXPECT_EQ(res->model.family, CopulaFamily::kStudentT);
+  EXPECT_DOUBLE_EQ(res->model.t_dof, 4.0);
   EXPECT_TRUE(res->synthetic.Validate().ok());
   // Fixed dof consumes no extra budget.
   EXPECT_NEAR(res->budget.spent(), opts.epsilon, 1e-9);
@@ -289,8 +296,8 @@ TEST(SynthesizeTest, StudentTFamilyWithPrivateDof) {
   opts.t_dof = 0.0;  // Estimate privately.
   auto res = Synthesize(t, opts, &rng);
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res->family_used, CopulaFamily::kStudentT);
-  EXPECT_GT(res->t_dof_used, 0.0);
+  EXPECT_EQ(res->model.family, CopulaFamily::kStudentT);
+  EXPECT_GT(res->model.t_dof, 0.0);
   EXPECT_NEAR(res->budget.spent(), opts.epsilon, 1e-9);
 }
 
@@ -313,10 +320,9 @@ TEST(SynthesizeTest, EmpiricalFamilyEndToEnd) {
   DpCopulaOptions opts;
   opts.epsilon = 10.0;
   opts.family = CopulaFamily::kEmpirical;
-  opts.empirical_grid = 8;
   auto res = Synthesize(t, opts, &rng);
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res->family_used, CopulaFamily::kEmpirical);
+  EXPECT_EQ(res->model.family, CopulaFamily::kEmpirical);
   EXPECT_TRUE(res->synthetic.Validate().ok());
   EXPECT_EQ(res->synthetic.num_rows(), 8000u);
   EXPECT_NEAR(res->budget.spent(), 10.0, 1e-9);
@@ -331,8 +337,7 @@ TEST(SynthesizeTest, EmpiricalFamilyRejectsHighDimensions) {
   Rng rng(255);
   data::Table t = MakeSynthetic(500, 12, 0.1, &rng, 20);
   DpCopulaOptions opts;
-  opts.family = CopulaFamily::kEmpirical;
-  opts.empirical_grid = 16;  // 16^12 cells: must refuse.
+  opts.family = CopulaFamily::kEmpirical;  // 8^12 = 2^36 cells: refused.
   EXPECT_EQ(Synthesize(t, opts, &rng).status().code(),
             StatusCode::kResourceExhausted);
 }
@@ -344,7 +349,81 @@ TEST(SynthesizeTest, TinyTableFallsBackToGaussianFamily) {
   opts.family = CopulaFamily::kAutoAic;
   auto res = Synthesize(t, opts, &rng);
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res->family_used, CopulaFamily::kGaussian);
+  EXPECT_EQ(res->model.family, CopulaFamily::kGaussian);
+}
+
+void ExpectSameBytes(const data::Table& got, const data::Table& want) {
+  EXPECT_TRUE(got.schema() == want.schema());
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (std::size_t j = 0; j < got.num_columns(); ++j) {
+    EXPECT_EQ(std::memcmp(got.column(j).data(), want.column(j).data(),
+                          got.num_rows() * sizeof(double)),
+              0)
+        << "column " << j;
+  }
+}
+
+// Field by field; two grids count as equal when both are present, since
+// the grid's cells are not exposed.
+void ExpectSameModel(const DpCopulaModel& got, const DpCopulaModel& want) {
+  EXPECT_TRUE(got.schema == want.schema);
+  EXPECT_EQ(got.marginal_counts, want.marginal_counts);
+  EXPECT_EQ(got.correlation.MaxAbsDiff(want.correlation), 0.0);
+  EXPECT_EQ(got.family, want.family);
+  EXPECT_EQ(got.t_dof, want.t_dof);
+  EXPECT_EQ(got.grid != nullptr, want.grid != nullptr);
+  EXPECT_EQ(got.fitted_rows, want.fitted_rows);
+}
+
+TEST(FitTest, FitThenSampleEqualsSynthesize) {
+  // Synthesize is Fit followed by Algorithm 3 on the fitted model, drawn
+  // from the same RNG: the two paths release the same bytes and leave the
+  // RNG in the same place, for every family, estimator and thread count.
+  Rng data_rng(263);
+  const data::Table t = MakeSynthetic(300, 3, 0.5, &data_rng, 40);
+  struct Family {
+    const char* label;
+    CopulaFamily family;
+    double t_dof;
+  };
+  const Family families[] = {
+      {"gaussian", CopulaFamily::kGaussian, 0.0},
+      {"t, dof 5", CopulaFamily::kStudentT, 5.0},
+      {"t, estimated dof", CopulaFamily::kStudentT, 0.0},
+      {"auto", CopulaFamily::kAutoAic, 0.0},
+      {"empirical", CopulaFamily::kEmpirical, 0.0},
+  };
+  for (const Family& f : families) {
+    for (const CorrelationEstimator estimator :
+         {CorrelationEstimator::kKendall, CorrelationEstimator::kMle}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(f.label) + ", estimator " +
+                     std::to_string(static_cast<int>(estimator)) +
+                     ", threads " + std::to_string(threads));
+        DpCopulaOptions opts;
+        opts.epsilon = 2.0;
+        opts.family = f.family;
+        opts.t_dof = f.t_dof;
+        opts.estimator = estimator;
+        opts.num_threads = threads;
+        Rng synth_rng(265), fit_rng(265);
+        const auto synthesized = Synthesize(t, opts, &synth_rng);
+        ASSERT_TRUE(synthesized.ok()) << synthesized.status().ToString();
+        const auto fitted = Fit(t, opts, &fit_rng);
+        ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+        EXPECT_EQ(fitted->synthetic.num_rows(), 0u);
+        EXPECT_NE(fitted->model.family, CopulaFamily::kAutoAic);
+        EXPECT_NEAR(fitted->budget.spent(), opts.epsilon, 1e-9);
+        const auto sampled = SampleFromModel(fitted->model, 0, &fit_rng);
+        ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+        ExpectSameBytes(*sampled, synthesized->synthetic);
+        EXPECT_EQ(fit_rng.NextUint64(), synth_rng.NextUint64());
+        ExpectSameModel(fitted->model, synthesized->model);
+        ExpectSameModel(ModelFromSynthesis(t.schema(), *synthesized),
+                        synthesized->model);
+      }
+    }
+  }
 }
 
 TEST(HybridTest, PlainDpcopulaWhenNoSmallDomains) {
@@ -417,19 +496,17 @@ TEST(HybridTest, ValidatesOptions) {
   opts.epsilon = 0.0;
   EXPECT_FALSE(SynthesizeHybrid(t, opts, &rng).ok());
   opts.epsilon = 1.0;
-  opts.partition_count_fraction = 1.5;
-  EXPECT_FALSE(SynthesizeHybrid(t, opts, &rng).ok());
   // With a small-domain column the hybrid sizes the output itself: a
-  // factor that is not positive, or a row count llround cannot hold, is
-  // refused before the output is allocated.
+  // factor that is not positive, or a row count no table column can hold
+  // (4e16 gives about 4e18 rows, past the longest column but below the
+  // 2^63 llround bound), is refused before the output is allocated.
   data::Table mixed(data::Schema({{"flag", 2}, {"value", 100}}));
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(mixed.AppendRow({static_cast<double>(i % 2),
                                  static_cast<double>(i)})
                     .ok());
   }
-  opts.partition_count_fraction = 0.1;
-  for (const double factor : {0.0, -1.0, 1e18}) {
+  for (const double factor : {0.0, -1.0, 1e18, 4e16}) {
     opts.inner.oversample_factor = factor;
     EXPECT_EQ(SynthesizeHybrid(mixed, opts, &rng).status().code(),
               StatusCode::kInvalidArgument)
@@ -445,8 +522,7 @@ TEST(HybridTest, TooManyPartitionsRejected) {
   }
   data::Table t{data::Schema(attrs)};
   ASSERT_TRUE(t.AppendRow(std::vector<double>(14, 0.0)).ok());
-  HybridOptions opts;
-  opts.max_partitions = 4096;
+  HybridOptions opts;  // 2^14 partitions, past kMaxPartitions.
   EXPECT_EQ(SynthesizeHybrid(t, opts, &rng).status().code(),
             StatusCode::kResourceExhausted);
 }

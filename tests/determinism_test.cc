@@ -65,8 +65,8 @@ TEST(DeterminismTest, SynthesizeIsSeedDeterministic) {
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(TablesEqual(a->synthetic, b->synthetic));
   EXPECT_FALSE(TablesEqual(a->synthetic, c->synthetic));
-  EXPECT_LT(a->correlation.MaxAbsDiff(b->correlation), 1e-15);
-  EXPECT_GT(a->correlation.MaxAbsDiff(c->correlation), 1e-9);
+  EXPECT_LT(a->model.correlation.MaxAbsDiff(b->model.correlation), 1e-15);
+  EXPECT_GT(a->model.correlation.MaxAbsDiff(c->model.correlation), 1e-9);
 }
 
 TEST(DeterminismTest, HybridIsSeedDeterministic) {
@@ -208,7 +208,7 @@ TEST(DeterminismTest, SynthesizeIsThreadCountInvariant) {
     ASSERT_TRUE(res.ok());
     EXPECT_TRUE(TablesEqual(base->synthetic, res->synthetic))
         << "threads=" << threads;
-    EXPECT_EQ(base->correlation.MaxAbsDiff(res->correlation), 0.0)
+    EXPECT_EQ(base->model.correlation.MaxAbsDiff(res->model.correlation), 0.0)
         << "threads=" << threads;
   }
 }

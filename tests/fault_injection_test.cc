@@ -432,7 +432,7 @@ TEST_F(FaultInjectionTest, SynthesizeDegradesCorrelationWhenAllowed) {
   auto res = core::Synthesize(t, options, &rng_b);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_TRUE(res->correlation_degraded);
-  ExpectMatricesIdentical(res->correlation, linalg::Matrix::Identity(3));
+  ExpectMatricesIdentical(res->model.correlation, linalg::Matrix::Identity(3));
   EXPECT_NEAR(res->budget.spent(), options.epsilon, 1e-9);
   EXPECT_EQ(res->synthetic.num_rows(), t.num_rows());
   if (kCountersLive) {

@@ -78,8 +78,6 @@ DpCopulaOptions RandomOptions(Rng* rng) {
       break;
     default:
       opts.family = CopulaFamily::kEmpirical;
-      opts.empirical_grid = 4 + static_cast<std::int64_t>(
-                                    rng->NextUint64Below(8));
   }
   opts.kendall.subsample = rng->NextUint64Below(2) == 0;
   opts.oversample_factor = rng->NextUint64Below(2) == 0 ? 1.0 : 2.0;
@@ -102,8 +100,8 @@ TEST_P(SynthesizeFuzzTest, NeverCrashesAndKeepsInvariants) {
     EXPECT_TRUE(res->synthetic.Validate().ok());
     EXPECT_LE(res->budget.spent(), opts.epsilon + 1e-9);
     EXPECT_GE(res->budget.spent(), 0.99 * opts.epsilon);
-    for (std::size_t i = 0; i < res->correlation.rows(); ++i) {
-      EXPECT_NEAR(res->correlation(i, i), 1.0, 1e-9);
+    for (std::size_t i = 0; i < res->model.correlation.rows(); ++i) {
+      EXPECT_NEAR(res->model.correlation(i, i), 1.0, 1e-9);
     }
   }
 }

@@ -181,6 +181,8 @@ TEST(ModelIoTest, CorruptionCorpusAllRejected) {
       {"text correlation", WithValueAfter(pristine, "correlation 2", "q")},
       {"margin size mismatch", WithLineValue(pristine, "margin 0 ", "7")},
       {"bad family", WithLineValue(pristine, "family ", "cauchy")},
+      // Must not read as 2^64 - 5 rows, which no table can hold.
+      {"negative fitted_rows", WithLineValue(pristine, "fitted_rows ", "-5")},
       {"trailing garbage", pristine + "leftover 1 2 3\n"},
       {"doubled write", pristine + pristine},
       {"truncated", pristine.substr(0, pristine.size() / 2)},
@@ -207,21 +209,6 @@ TEST(ModelIoTest, CorruptionCorpusAllRejected) {
   std::remove(reserialized.c_str());
 }
 
-TEST(ModelIoTest, TrailingBytesAllowedOnlyWhenOptedIn) {
-  Rng rng(617);
-  DpCopulaModel model = FittedModel(&rng);
-  const std::string path = "/tmp/dpcopula_model_trailing.txt";
-  ASSERT_TRUE(SaveModel(model, path).ok());
-  WriteFileBytes(path,
-                 ReadFileBytes(path) + "streaming_weight 100\n"
-                                       "streaming_batches 2\n");
-  EXPECT_FALSE(LoadModel(path).ok());
-  LoadModelOptions allow;
-  allow.allow_trailing = true;
-  EXPECT_TRUE(LoadModel(path, allow).ok());
-  std::remove(path.c_str());
-}
-
 TEST(ModelIoTest, SampleValidatesModel) {
   Rng rng(611);
   DpCopulaModel empty;
@@ -232,14 +219,26 @@ TEST(ModelIoTest, SampleValidatesModel) {
 }
 
 TEST(ModelIoTest, RefusesFamiliesTheFormatCannotHold) {
-  // An empirical fit's DP grid lives only inside Synthesize: saved as
-  // "gaussian" it would reload as independent margins over an identity
-  // correlation. kAutoAic is a request, never a fitted family.
+  // An empirical fit's DP grid lives only in memory: saved as "gaussian"
+  // it would reload as independent margins over an identity correlation.
+  // kAutoAic is a request, never a fitted family.
   Rng rng(613);
   const DpCopulaModel empirical = FittedModel(&rng, CopulaFamily::kEmpirical);
   ASSERT_EQ(empirical.family, CopulaFamily::kEmpirical);
+  ASSERT_NE(empirical.grid, nullptr);
+  // Held in memory, the model keeps its grid and samples.
+  auto sample = SampleFromModel(empirical, 10, &rng);
+  ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+  EXPECT_EQ(sample->num_rows(), 10u);
+  EXPECT_TRUE(sample->Validate().ok());
+  DpCopulaModel gridless = empirical;
+  gridless.grid = nullptr;
   DpCopulaModel auto_aic = empirical;
   auto_aic.family = CopulaFamily::kAutoAic;
+  for (const DpCopulaModel* model : {&gridless, &auto_aic}) {
+    EXPECT_EQ(SampleFromModel(*model, 10, &rng).status().code(),
+              StatusCode::kInvalidArgument);
+  }
   const std::string path = "/tmp/dpcopula_model_family_test.txt";
   const DpCopulaModel* const models[] = {&empirical, &auto_aic};
   for (const DpCopulaModel* model : models) {
@@ -250,8 +249,6 @@ TEST(ModelIoTest, RefusesFamiliesTheFormatCannotHold) {
     EXPECT_EQ(SaveModel(*model, path).code(), StatusCode::kInvalidArgument);
     EXPECT_FALSE(std::ifstream(path).good());
     EXPECT_FALSE(std::ifstream(path + ".tmp").good());
-    EXPECT_EQ(SampleFromModel(*model, 10, &rng).status().code(),
-              StatusCode::kInvalidArgument);
   }
 }
 

@@ -64,7 +64,7 @@ inline Result<core::HybridResult> SynthesizeHybrid(
   const data::Schema& schema = table.schema();
   std::vector<std::size_t> small_cols, large_cols;
   for (std::size_t j = 0; j < schema.num_attributes(); ++j) {
-    if (schema.attribute(j).domain_size < options.small_domain_threshold) {
+    if (schema.attribute(j).domain_size < core::kSmallDomainThreshold) {
       small_cols.push_back(j);
     } else {
       large_cols.push_back(j);
@@ -77,7 +77,7 @@ inline Result<core::HybridResult> SynthesizeHybrid(
   for (std::size_t c : small_cols) {
     radix.push_back(schema.attribute(c).domain_size);
   }
-  const double eps_counts = options.epsilon * options.partition_count_fraction;
+  const double eps_counts = options.epsilon * core::kPartitionCountFraction;
   const double eps_copula = options.epsilon - eps_counts;
 
   std::vector<std::vector<std::int64_t>> combos;
@@ -120,7 +120,7 @@ inline Result<core::HybridResult> SynthesizeHybrid(
       core::DpCopulaOptions inner = options.inner;
       inner.epsilon = eps_copula;
       inner.num_synthetic_rows = static_cast<std::size_t>(n_synth);
-      inner.allow_degraded_correlation = options.allow_degraded_partitions;
+      inner.allow_degraded_correlation = true;
       DPC_ASSIGN_OR_RETURN(core::SynthesisResult res,
                            core::Synthesize(projected, inner, &part_rngs[p]));
       if (res.correlation_degraded) ++out.degraded_partitions;

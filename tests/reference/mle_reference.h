@@ -106,7 +106,7 @@ inline Result<copula::MleEstimate> EstimateMleCorrelation(
     l = copula::PaperMlePartitionCount(m, epsilon2);
     const std::int64_t max_l =
         std::max<std::int64_t>(1, n / std::max<std::int64_t>(
-                                          2, options.min_partition_rows));
+                                          2, copula::kMleMinPartitionRows));
     l = std::clamp<std::int64_t>(l, 1, max_l);
   }
   const std::int64_t b = n / l;  // Rows per partition; remainder dropped.

@@ -386,6 +386,23 @@ TEST(SamplerKernelTest, FullTilesArePrefixStable) {
   }
 }
 
+TEST(SamplerKernelTest, RowCountPastTheLongestColumnRefusedBeforeDrawing) {
+  // Table::Zeros would throw std::length_error past the longest column a
+  // vector can hold (an abort through the CLI); Sample refuses first,
+  // without drawing.
+  const auto fx = MakeFixture(2, 10, 0.3);
+  const auto plan = SamplingPlan::Gaussian(fx.schema, fx.cdfs, fx.corr);
+  ASSERT_TRUE(plan.ok());
+  for (const std::size_t rows : {std::size_t{1} << 62, kMaxSampleRows + 1}) {
+    Rng rng(7);
+    EXPECT_EQ(plan->Sample(rows, &rng, 4).status().code(),
+              StatusCode::kInvalidArgument)
+        << rows;
+    Rng untouched(7);
+    EXPECT_EQ(rng.NextUint64(), untouched.NextUint64()) << rows;
+  }
+}
+
 TEST(SamplerKernelTest, ZeroTailMarginalNeverEmitsZeroMassValues) {
   // Marginal 1 of the fixture has two zero-mass tail bins; the fixed
   // inversion (and its table form) must never emit them.

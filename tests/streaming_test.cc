@@ -6,8 +6,10 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "core/model_io.h"
 #include "core/streaming.h"
 #include "data/generator.h"
 #include "stats/kendall.h"
@@ -152,19 +154,32 @@ TEST(StreamingTest, SaveRequiresIngestedData) {
                    .ok());
 }
 
-// Rewrites the value on the `streaming_weight` line of a saved state file.
-void PatchStreamingWeight(const std::string& path, const std::string& value) {
+std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  std::string text = buffer.str();
-  const std::string prefix = "streaming_weight ";
+  return buffer.str();
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out << bytes;
+}
+
+// Replaces the rest of the line starting at `prefix` with `value`.
+std::string WithLineValue(std::string text, const std::string& prefix,
+                          const std::string& value) {
   const std::size_t at = text.find(prefix);
-  ASSERT_NE(at, std::string::npos);
+  EXPECT_NE(at, std::string::npos) << prefix;
   const std::size_t eol = text.find('\n', at);
   text.replace(at + prefix.size(), eol - at - prefix.size(), value);
-  std::ofstream out(path, std::ios::binary);
-  out << text;
+  return text;
+}
+
+// Rewrites the value on the `streaming_weight` line of a saved state file.
+void PatchStreamingWeight(const std::string& path, const std::string& value) {
+  WriteFileBytes(path, WithLineValue(ReadFileBytes(path), "streaming_weight ",
+                                     value));
 }
 
 TEST(StreamingTest, RestoreRejectsNonFiniteWeight) {
@@ -183,6 +198,72 @@ TEST(StreamingTest, RestoreRejectsNonFiniteWeight) {
     EXPECT_FALSE(restored.ok()) << "weight=" << bad;
   }
   std::remove(path.c_str());
+}
+
+TEST(StreamingTest, RestoreReadsExactlyTheTwoCounters) {
+  // A state file is a model body, then `streaming_weight` and
+  // `streaming_batches`, and nothing else. A batch count of "-1" must not
+  // read as 2^64 - 1: the next Ingest would wrap it to 0 and restart the
+  // merge from zeros.
+  Rng rng(729);
+  data::Table seed = MakeBatch(500, 0.3, &rng);
+  StreamingSynthesizer s(seed.schema(), HighBudgetOptions());
+  ASSERT_TRUE(s.Ingest(seed, &rng).ok());
+  const std::string path = "/tmp/dpcopula_stream_counters.txt";
+  ASSERT_TRUE(s.SaveState(path).ok());
+  const std::string pristine = ReadFileBytes(path);
+  ASSERT_TRUE(StreamingSynthesizer::RestoreState(path, HighBudgetOptions())
+                  .ok());
+  // The model loader refuses the counters as trailing bytes.
+  EXPECT_FALSE(LoadModel(path).ok());
+
+  const std::string body = pristine.substr(0, pristine.find("streaming_"));
+  struct Mutant {
+    const char* label;
+    std::string bytes;
+  };
+  const std::vector<Mutant> corpus = {
+      {"trailing bytes", pristine + "leftover 1 2 3\n"},
+      {"negative batches",
+       WithLineValue(pristine, "streaming_batches ", "-1")},
+      {"zero batches", WithLineValue(pristine, "streaming_batches ", "0")},
+      {"non-integer batches",
+       WithLineValue(pristine, "streaming_batches ", "2.5")},
+      {"exponent batches",
+       WithLineValue(pristine, "streaming_batches ", "1e3")},
+      {"counters swapped", body + "streaming_batches 1\n"
+                                  "streaming_weight 100\n"},
+      {"batches missing", body + "streaming_weight 100\n"},
+      {"no counters", body},
+  };
+  for (const Mutant& mutant : corpus) {
+    WriteFileBytes(path, mutant.bytes);
+    auto restored =
+        StreamingSynthesizer::RestoreState(path, HighBudgetOptions());
+    ASSERT_FALSE(restored.ok()) << mutant.label;
+    EXPECT_EQ(restored.status().code(), StatusCode::kIOError) << mutant.label;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StreamingTest, IngestDrawsOnlyTheFit) {
+  // Ingest fits the batch and samples nothing: it leaves the caller's RNG
+  // exactly where Fit on the same batch and options leaves it.
+  Rng data_rng(731);
+  const data::Table batch = MakeBatch(1000, 0.5, &data_rng);
+  const StreamingSynthesizer::Options opts = HighBudgetOptions();
+  StreamingSynthesizer s(batch.schema(), opts);
+  Rng ingest_rng(733), fit_rng(733);
+  ASSERT_TRUE(s.Ingest(batch, &ingest_rng).ok());
+  DpCopulaOptions fit_options = opts.fit;
+  fit_options.epsilon = opts.epsilon_per_batch;
+  const auto fitted = Fit(batch, fit_options, &fit_rng);
+  ASSERT_TRUE(fitted.ok());
+  EXPECT_EQ(ingest_rng.NextUint64(), fit_rng.NextUint64());
+  // One batch at decay 1: the merged margins are the batch's.
+  const auto model = s.CurrentModel();
+  ASSERT_TRUE(model.ok());
+  EXPECT_EQ(model->marginal_counts, fitted->model.marginal_counts);
 }
 
 TEST(StreamingTest, HugeRestoredWeightClampsInsteadOfOverflowing) {

@@ -321,11 +321,10 @@ int main(int argc, char** argv) {
         static_cast<long long>(result->kendall_rows_used),
         static_cast<long long>(result->mle_partitions),
         result->correlation_repaired ? "yes" : "no",
-        FamilyName(result->family_used), result->t_dof_used);
+        FamilyName(result->model.family), result->model.t_dof);
     audit = obs::AuditFrom(result->budget);
     if (!args.model_out.empty()) {
-      const auto model = core::ModelFromSynthesis(table->schema(), *result);
-      Status ms = core::SaveModel(model, args.model_out);
+      Status ms = core::SaveModel(result->model, args.model_out);
       if (!ms.ok()) {
         std::fprintf(stderr, "model save failed: %s\n",
                      ms.ToString().c_str());
