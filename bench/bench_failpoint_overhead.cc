@@ -2,7 +2,7 @@
 //
 // The hot path runs DPC_FAILPOINT_AT once per sampled row (plus coarser
 // sites per shard / partition), so this bench answers: what does a
-// compiled-in but dormant fail-point layer cost? Three runtime modes over
+// dormant fail-point layer cost? Three runtime modes over
 // identical Synthesize runs (same data, same seed, so the work is
 // byte-identical by the determinism guarantee):
 //
@@ -16,9 +16,7 @@
 //                   (after<2^63>): full trigger evaluation on every row.
 //
 // Reports median seconds per run and the overhead relative to `disarmed`.
-// Compare externally against a -DDPCOPULA_FAILPOINTS=OFF build (where every
-// site folds to `false` at compile time) to see the cost of the gate load
-// itself. Run with DPCOPULA_BENCH_FULL=1 for a paper-scale table.
+// Run with DPCOPULA_BENCH_FULL=1 for a paper-scale table.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -70,13 +68,6 @@ int main() {
   std::printf(
       "=== fail-point overhead (n=%zu, m=%zu, %zu repeats) ===\n", rows,
       kColumns, kRepeats);
-  std::printf("failpoints compiled in: %s\n",
-#if DPCOPULA_FAILPOINTS_ENABLED
-              "yes"
-#else
-              "no (all modes are identical no-ops)"
-#endif
-  );
 
   struct Mode {
     const char* name;

@@ -51,15 +51,6 @@ void BM_KendallTauFast(benchmark::State& state) {
 }
 BENCHMARK(BM_KendallTauFast)->Range(1 << 8, 1 << 16)->Complexity();
 
-void BM_KendallTauBruteForce(benchmark::State& state) {
-  const auto [x, y] = MakePair(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dpcopula::stats::KendallTauBruteForce(x, y));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_KendallTauBruteForce)->Range(1 << 8, 1 << 12)->Complexity();
-
 void BM_NormalInverseCdf(benchmark::State& state) {
   Rng rng(7);
   for (auto _ : state) {

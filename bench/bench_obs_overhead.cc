@@ -5,8 +5,8 @@
 //
 //   disabled         ObsConfig all off — at most two relaxed atomic loads
 //                    per instrumentation site. This is the default for
-//                    library users and must stay within ~2% of a build with
-//                    -DDPCOPULA_OBS=OFF (compare externally by rebuilding).
+//                    library users and the floor the other modes are read
+//                    against.
 //   metrics          counters, gauges and histograms on (the stage
 //                    histograms among them), tracing off.
 //   metrics+trace    spans recorded too, as `dpcopula --trace-json`
@@ -247,13 +247,6 @@ int main() {
 
   std::printf("=== observability overhead (n=%zu, m=%zu, %zu repeats) ===\n",
               rows, kColumns, kRepeats);
-  std::printf("obs compiled in: %s\n",
-#if DPCOPULA_OBS_ENABLED
-              "yes"
-#else
-              "no (all modes are identical no-ops)"
-#endif
-  );
 
   struct Mode {
     const char* name;

@@ -1,8 +1,5 @@
 #include "common/cpuinfo.h"
 
-#include <cstdlib>
-#include <string>
-
 namespace dpcopula::common {
 
 bool CpuSupportsAvx2() {
@@ -11,16 +8,6 @@ bool CpuSupportsAvx2() {
 #else
   return false;
 #endif
-}
-
-bool SimdDisabledByEnv() {
-  const char* value = std::getenv("DPCOPULA_SIMD");
-  if (value == nullptr) return false;
-  std::string v(value);
-  for (char& c : v) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return v == "off" || v == "0" || v == "false";
 }
 
 }  // namespace dpcopula::common

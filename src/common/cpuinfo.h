@@ -9,12 +9,6 @@ namespace dpcopula::common {
 /// once, behind a function-local static).
 bool CpuSupportsAvx2();
 
-/// Runtime kill switch for SIMD dispatch, mirroring the DPCOPULA_SIMD
-/// build option: true when the environment variable DPCOPULA_SIMD is set
-/// to "off", "0" or "false" (case-insensitive). Lets one binary A/B the
-/// vector and scalar paths without a rebuild.
-bool SimdDisabledByEnv();
-
 }  // namespace dpcopula::common
 
 #endif  // DPCOPULA_COMMON_CPUINFO_H_

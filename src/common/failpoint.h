@@ -8,14 +8,6 @@
 
 #include "common/status.h"
 
-/// Compile-time kill switch for the fault-injection layer, mirroring
-/// DPCOPULA_OBS_ENABLED. The build defines DPCOPULA_FAILPOINTS_ENABLED=0
-/// when configured with -DDPCOPULA_FAILPOINTS=OFF; every DPC_FAILPOINT*
-/// site then compiles to the constant `false` and the branch folds away.
-#ifndef DPCOPULA_FAILPOINTS_ENABLED
-#define DPCOPULA_FAILPOINTS_ENABLED 1
-#endif
-
 namespace dpcopula::failpoint {
 
 /// How an armed fail point decides whether a given evaluation fires. All
@@ -198,9 +190,7 @@ inline bool AnyArmed() {
 /// `if (DPC_FAILPOINT("site.name")) { <inject failure>; }`
 ///
 /// Cost when no site is armed (the production state): one relaxed atomic
-/// load and a predictable branch. Compiled out entirely under
-/// -DDPCOPULA_FAILPOINTS=OFF.
-#if DPCOPULA_FAILPOINTS_ENABLED
+/// load and a predictable branch.
 #define DPC_FAILPOINT(site)                                          \
   (::dpcopula::failpoint::internal::AnyArmed() &&                    \
    []() -> ::dpcopula::failpoint::FailPoint* {                       \
@@ -218,9 +208,5 @@ inline bool AnyArmed() {
          ::dpcopula::failpoint::Registry::Global().GetSite(site);    \
      return _dpc_fp;                                                 \
    }()->EvaluateAt(static_cast<std::uint64_t>(index)))
-#else
-#define DPC_FAILPOINT(site) (false)
-#define DPC_FAILPOINT_AT(site, index) ((void)(index), false)
-#endif
 
 #endif  // DPCOPULA_COMMON_FAILPOINT_H_

@@ -23,10 +23,6 @@ struct EigenDecomposition {
 struct EigenSymOptions {
   /// Implicit-shift budget per eigenvalue.
   int max_ql_iterations = 48;
-  /// QL deflation threshold: a subdiagonal entry e[m] is treated as zero
-  /// once |e[m]| <= tol * (|d[m]| + |d[m+1]|), i.e. relative to its two
-  /// diagonal neighbours. Values below machine epsilon are raised to it.
-  double tol = 1e-13;
   /// Threads for the Householder update loops; 0 = hardware concurrency,
   /// <= 1 sequential. The shard decomposition never changes a released bit.
   int num_threads = 1;
@@ -58,11 +54,12 @@ void HouseholderTridiagonalize(Matrix* z, std::vector<double>* d,
 /// Stage 2 of EigenSym: implicit-shift QL on the tridiagonal (d, e) with
 /// the rotations accumulated into the columns of `*z`. On success `*d`
 /// holds the (unsorted) eigenvalues and column k of `*z` the eigenvector
-/// for d[k]. `rel_tol` is the deflation threshold relative to the local
-/// diagonal magnitude. Returns NumericalError when any eigenvalue exceeds
+/// for d[k]. A subdiagonal entry e[m] is treated as zero once |e[m]| <=
+/// 1e-13 * (|d[m]| + |d[m+1]|), i.e. relative to its two diagonal
+/// neighbours. Returns NumericalError when any eigenvalue exceeds
 /// `max_iterations` shifts. Exposed for the kernel tests.
 Status TridiagQL(std::vector<double>* d, std::vector<double>* e, Matrix* z,
-                 int max_iterations, double rel_tol);
+                 int max_iterations);
 
 /// Sorts (values[k], column k of vectors) pairs by descending eigenvalue —
 /// EigenSym's output convention.

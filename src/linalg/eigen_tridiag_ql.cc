@@ -4,10 +4,8 @@
 // Dispatch, validation and the `linalg.eigen.converge` failpoint live in
 // eigen_sym.cc; this file assumes a square, symmetric input.
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -138,14 +136,14 @@ void HouseholderTridiagonalize(Matrix* z, std::vector<double>* d,
 }
 
 Status TridiagQL(std::vector<double>* d_io, std::vector<double>* e_io,
-                 Matrix* z, int max_iterations, double rel_tol) {
+                 Matrix* z, int max_iterations) {
+  // Deflation threshold relative to the local diagonal magnitude.
+  constexpr double kDeflationTol = 1e-13;
   std::vector<double>& d = *d_io;
   std::vector<double>& e = *e_io;
   Matrix& q = *z;
   const std::size_t n = d.size();
   if (n == 0) return Status::OK();
-  const double rel =
-      std::max(rel_tol, std::numeric_limits<double>::epsilon());
   // Renumber the subdiagonal to e[0..n-2] (e arrives in e[1..n-1]).
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
@@ -158,7 +156,7 @@ Status TridiagQL(std::vector<double>* d_io, std::vector<double>* e_io,
       // diagonal neighbours splits the problem.
       for (m = l; m + 1 < n; ++m) {
         const double dd = std::fabs(d[m]) + std::fabs(d[m + 1]);
-        if (std::fabs(e[m]) <= rel * dd) break;
+        if (std::fabs(e[m]) <= kDeflationTol * dd) break;
       }
       if (m != l) {
         if (iter++ == max_iterations) {
@@ -217,7 +215,7 @@ Result<EigenDecomposition> EigenSymTridiagQL(const Matrix& a,
   std::vector<double> d;
   std::vector<double> e;
   HouseholderTridiagonalize(&q, &d, &e, options.num_threads);
-  Status ql = TridiagQL(&d, &e, &q, options.max_ql_iterations, options.tol);
+  Status ql = TridiagQL(&d, &e, &q, options.max_ql_iterations);
   if (!ql.ok()) return ql;
   EigenDecomposition ed;
   ed.values = std::move(d);

@@ -89,11 +89,7 @@ Result<Matrix> RepairToCorrelation(const Matrix& a,
   }
   DPC_ASSIGN_OR_RETURN(EigenDecomposition ed, std::move(decomp));
   for (double& lambda : ed.values) {
-    if (lambda < options.min_eigenvalue) {
-      lambda = options.use_abs
-                   ? std::max(std::fabs(lambda), options.min_eigenvalue)
-                   : options.min_eigenvalue;
-    }
+    lambda = std::max(lambda, options.min_eigenvalue);
   }
   Matrix repaired = EigenReconstruct(ed);
   {

@@ -10,10 +10,8 @@ namespace dpcopula::linalg {
 /// Options for the Rousseeuw–Molenberghs eigenvalue repair used by
 /// Algorithm 5 step 3 of the paper.
 struct PsdRepairOptions {
-  /// Negative eigenvalues are replaced by max(|lambda| * use_abs,
-  /// min_eigenvalue). With use_abs=false they are clamped to min_eigenvalue
-  /// ("small value" variant); with true, to their absolute value.
-  bool use_abs = false;
+  /// Eigenvalues below min_eigenvalue are clamped to it (the "small value"
+  /// variant of the method).
   double min_eigenvalue = 1e-6;
   /// Threads for the eigensolver's Householder update loops; 0 = hardware
   /// concurrency, <= 1 sequential. The repaired matrix is bit-identical for

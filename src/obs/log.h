@@ -6,14 +6,6 @@
 #include <string>
 #include <type_traits>
 
-/// Compile-time kill switch for the whole observability layer. The build
-/// defines DPCOPULA_OBS_ENABLED=0 when configured with -DDPCOPULA_OBS=OFF;
-/// every instrumentation call then compiles to (at most) a dead branch on a
-/// constant, so the hot paths carry no atomic loads at all.
-#ifndef DPCOPULA_OBS_ENABLED
-#define DPCOPULA_OBS_ENABLED 1
-#endif
-
 namespace dpcopula::obs {
 
 /// Severity levels, most verbose first. kOff disables all logging.
@@ -66,29 +58,16 @@ int ThreadIndex();
 
 /// True when events at `level` should be emitted.
 inline bool LogEnabled(LogLevel level) {
-#if DPCOPULA_OBS_ENABLED
   return static_cast<int>(level) >=
          internal::g_log_level.load(std::memory_order_relaxed);
-#else
-  (void)level;
-  return false;
-#endif
 }
 
 inline bool MetricsEnabled() {
-#if DPCOPULA_OBS_ENABLED
   return internal::g_metrics_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
 inline bool TraceEnabled() {
-#if DPCOPULA_OBS_ENABLED
   return internal::g_trace_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
 /// One structured log line, built by chaining Field() calls and emitted on

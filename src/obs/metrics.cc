@@ -43,7 +43,6 @@ void Histogram::Observe(double seconds) {
 }
 
 void Histogram::ObserveNanos(std::int64_t nanos) {
-#if DPCOPULA_OBS_ENABLED
   if (!MetricsEnabled()) return;
   if (nanos < 0) nanos = 0;
   buckets_[BucketIndex(nanos)].fetch_add(1, std::memory_order_relaxed);
@@ -55,9 +54,6 @@ void Histogram::ObserveNanos(std::int64_t nanos) {
   while (nanos > seen && !max_nanos_.compare_exchange_weak(
                              seen, nanos, std::memory_order_relaxed)) {
   }
-#else
-  (void)nanos;
-#endif
 }
 
 std::vector<std::int64_t> Histogram::BucketCounts() const {

@@ -32,13 +32,9 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Add(std::int64_t delta) {
-#if DPCOPULA_OBS_ENABLED
     if (!MetricsEnabled()) return;
     slots_[internal::ThreadIndex() & (kSlots - 1)].v.fetch_add(
         delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
   void Increment() { Add(1); }
 
@@ -70,12 +66,8 @@ class Gauge {
   Gauge& operator=(const Gauge&) = delete;
 
   void Set(double value) {
-#if DPCOPULA_OBS_ENABLED
     if (!MetricsEnabled()) return;
     v_.store(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
   double Value() const { return v_.load(std::memory_order_relaxed); }
   void Reset() { v_.store(0.0, std::memory_order_relaxed); }

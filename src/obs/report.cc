@@ -185,9 +185,7 @@ std::string RenderRunReportJson(const BudgetAudit* audit) {
   out.reserve(4096);
   // Version 2: histograms gained max_seconds/p50/p90/p99/p999 and emit
   // only non-empty buckets.
-  out += "{\"version\":2,\"obs_compiled_in\":";
-  out += DPCOPULA_OBS_ENABLED ? "true" : "false";
-  out += ',';
+  out += "{\"version\":2,";
   AppendTrace(&out);
   out += ',';
   AppendMetrics(&out);

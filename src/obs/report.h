@@ -46,8 +46,7 @@ inline BudgetAudit AuditFrom(const dp::BudgetAccountant& accountant) {
 /// Serializes the full run report as a JSON object:
 ///
 ///   {
-///     "version": 1,
-///     "obs_compiled_in": true,
+///     "version": 2,
 ///     "trace": {"dropped_spans": 0, "spans": [<nested span trees>]},
 ///     "metrics": {"counters": {...}, "gauges": {...},
 ///                 "histograms": {...}},

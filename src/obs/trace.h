@@ -78,8 +78,7 @@ SpanId ExchangeCurrentSpan(SpanId id);
 /// The name is a string with static storage (a literal) plus an optional
 /// index, rendered "name[index]" only when a record is made. A scope whose
 /// sinks are both off costs at most two relaxed atomic loads: no clock is
-/// read and nothing is allocated. Under -DDPCOPULA_OBS=OFF it compiles to
-/// nothing.
+/// read and nothing is allocated.
 ///
 /// Named spans nest via a thread-local "current span": one constructed
 /// while another is active on the same thread becomes its child. Work
@@ -114,23 +113,14 @@ class Span {
   /// Recorded as "name[index]", a child of `parent`.
   Span(const char* name, std::size_t index, SpanId parent,
        Histogram* histogram = nullptr) {
-#if DPCOPULA_OBS_ENABLED
     if (histogram != nullptr && MetricsEnabled()) histogram_ = histogram;
     if (name != nullptr && TraceEnabled()) Begin(name, index, parent);
     if (histogram_ != nullptr || id_ != kNoSpan) {
       start_ = std::chrono::steady_clock::now();
     }
-#else
-    (void)name;
-    (void)index;
-    (void)parent;
-    (void)histogram;
-#endif
   }
   ~Span() {
-#if DPCOPULA_OBS_ENABLED
     if (histogram_ != nullptr || id_ != kNoSpan) Finish();
-#endif
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

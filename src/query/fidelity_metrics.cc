@@ -1,6 +1,8 @@
 #include "query/fidelity_metrics.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "stats/kendall.h"
 
@@ -50,10 +52,24 @@ Result<linalg::Matrix> KendallMatrix(const data::Table& table) {
   if (m == 0) return Status::InvalidArgument("fidelity: no columns");
   linalg::Matrix tau(m, m);
   for (std::size_t j = 0; j < m; ++j) tau(j, j) = 1.0;
+  if (m == 1) return tau;  // No pair to rank.
+  // stats::KendallTau's checks, in its order, ahead of the rank builds.
+  if (table.num_rows() < 2) {
+    return Status::InvalidArgument("KendallTau needs at least 2 points");
+  }
+  // One rank structure per column, shared by every pair touching it.
+  std::vector<stats::RankColumn> ranks;
+  ranks.reserve(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    DPC_ASSIGN_OR_RETURN(stats::RankColumn rank,
+                         stats::BuildRankColumn(table.column(j)));
+    ranks.push_back(std::move(rank));
+  }
+  stats::TauWorkspace ws;
   for (std::size_t j = 0; j < m; ++j) {
     for (std::size_t k = j + 1; k < m; ++k) {
-      DPC_ASSIGN_OR_RETURN(
-          double t, stats::KendallTau(table.column(j), table.column(k)));
+      DPC_ASSIGN_OR_RETURN(double t,
+                           stats::KendallTauFromRanks(ranks[j], ranks[k], &ws));
       tau(j, k) = t;
       tau(k, j) = t;
     }

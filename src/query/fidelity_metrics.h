@@ -25,7 +25,8 @@ Result<double> MarginalTotalVariation(const data::Table& original,
 Result<double> MeanMarginalTotalVariation(const data::Table& original,
                                           const data::Table& synthetic);
 
-/// Pairwise Kendall-tau matrix of a table (diagonal 1). O(m^2 n log n).
+/// Pairwise Kendall-tau matrix of a table (diagonal 1). Ranks each column
+/// once in O(n log n); each pair then runs stats::KendallTauFromRanks.
 Result<linalg::Matrix> KendallMatrix(const data::Table& table);
 
 /// Max |tau_orig(j,k) - tau_synth(j,k)| over all attribute pairs — how much

@@ -64,8 +64,9 @@ class Server {
   void Shutdown();
 
   /// Monotonic counters mirrored in plain atomics so tests and the bench
-  /// harness can assert on them even when the obs layer is compiled out
-  /// (DPCOPULA_OBS=OFF).
+  /// harness can assert on them while obs metrics are off, which they are
+  /// unless the daemon runs with --trace-json (obs counters count only
+  /// while metrics are on).
   struct Stats {
     std::uint64_t connections_accepted = 0;
     std::uint64_t connections_rejected_busy = 0;

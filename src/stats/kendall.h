@@ -50,27 +50,19 @@ bool UseContingencyKernel(std::uint64_t n, std::uint32_t dx, std::uint32_t dy);
 /// Pairwise tau from shared rank columns — the Kendall estimator's kernel:
 /// per-column rank structures built once and shared by every pair. Picks
 /// the contingency-table path when UseContingencyKernel() says so,
-/// otherwise a counting-sort + merge-count path; both produce integer pair
-/// counts identical to KendallTau's, so the returned tau is bit-identical
-/// to KendallTau on the same data.
+/// otherwise a counting-sort + merge-count path; both produce the exact
+/// integer pair counts, so the returned tau is bit-identical to Knight's
+/// sort-and-merge algorithm on the same data (tests/reference holds it as
+/// an oracle).
 Result<double> KendallTauFromRanks(const RankColumn& x, const RankColumn& y,
                                    TauWorkspace* ws);
 
-/// O(n log n) implementation (Knight's algorithm: sort by x, count
-/// discordant pairs as merge-sort inversions on y, correct for ties).
-/// Rejects non-finite input: a NaN in either column would make the (x, y)
-/// comparator a non-strict weak order, which is UB in std::sort.
+/// Tau of one pair of columns: BuildRankColumn on each, then
+/// KendallTauFromRanks. Callers with many pairs over the same columns
+/// should build each RankColumn once instead. Rejects a size mismatch,
+/// fewer than 2 points and non-finite input, in that order.
 Result<double> KendallTau(const std::vector<double>& x,
                           const std::vector<double>& y);
-
-/// O(n^2) brute-force reference; used in tests and for tiny inputs.
-/// Rejects non-finite input like KendallTau (NaN comparisons would
-/// silently drop pairs instead of failing loudly).
-Result<double> KendallTauBruteForce(const std::vector<double>& x,
-                                    const std::vector<double>& y);
-
-/// Counts inversions in `values` by merge sort (exposed for testing).
-std::uint64_t CountInversions(std::vector<double> values);
 
 }  // namespace dpcopula::stats
 

@@ -75,8 +75,9 @@ void NormalPdfBatchScalar(const double* x, double* out, std::size_t n) {
 }
 
 #if !DPCOPULA_SIMD_COMPILED
-// The AVX2 translation unit is not part of this build; keep the symbols
-// defined (as scalar forwards) so tests can reference them unconditionally.
+// The compiler does not take -mavx2, so the AVX2 translation unit is not
+// part of this build; keep the symbols defined (as scalar forwards) so tests
+// can reference them unconditionally.
 void NormalInverseCdfBatchAvx2(const double* p, double* z, std::size_t n) {
   NormalInverseCdfBatchScalar(p, z, n);
 }
@@ -93,12 +94,10 @@ void NormalPdfBatchAvx2(const double* x, double* out, std::size_t n) {
 bool NormalBatchAvx2Compiled() { return DPCOPULA_SIMD_COMPILED != 0; }
 
 bool NormalBatchAvx2Active() {
-  // Resolved once: CPU features and the environment cannot change mid
-  // process, and a stable answer keeps every batch call's dispatch to one
-  // predictable branch.
-  static const bool active = NormalBatchAvx2Compiled() &&
-                             common::CpuSupportsAvx2() &&
-                             !common::SimdDisabledByEnv();
+  // Resolved once: CPU features cannot change mid process, and a stable
+  // answer keeps every batch call's dispatch to one predictable branch.
+  static const bool active =
+      NormalBatchAvx2Compiled() && common::CpuSupportsAvx2();
   return active;
 }
 

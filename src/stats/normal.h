@@ -21,13 +21,12 @@ double NormalInverseCdf(double p);
 /// evaluates Phi / Phi^{-1} over arrays (the sampler's InverseCdfTable
 /// z-edge construction, the batched MLE normal-score build, and the
 /// synthetic-data generator). Dispatch at runtime to an AVX2 kernel when
-/// the build compiled one (DPCOPULA_SIMD=ON), the CPU supports AVX2, and
-/// the DPCOPULA_SIMD environment variable does not disable it; otherwise a
-/// scalar loop over the functions above runs. Both paths are bit-identical
-/// element for element — the vector kernel performs the same
-/// correctly-rounded IEEE operation sequence and defers to the scalar
-/// libm transcendentals lane by lane — so flipping the dispatch can never
-/// change a released result.
+/// the build compiled one (the compiler takes -mavx2) and the CPU supports
+/// AVX2; otherwise a scalar loop over the functions above runs. Both paths
+/// are bit-identical element for element — the vector kernel performs the
+/// same correctly-rounded IEEE operation sequence and defers to the scalar
+/// libm transcendentals lane by lane — so the dispatch can never change a
+/// released result.
 ///
 /// `in` and `out` may alias only if identical; n may be 0.
 void NormalInverseCdfBatch(const double* p, double* z, std::size_t n);
@@ -38,8 +37,7 @@ void NormalPdfBatch(const double* x, double* out, std::size_t n);
 bool NormalBatchAvx2Compiled();
 
 /// True when the batch entry points above will actually dispatch to the
-/// AVX2 kernels at runtime (compiled in + CPU support + not disabled via
-/// the DPCOPULA_SIMD environment variable).
+/// AVX2 kernels at runtime (compiled in + CPU support).
 bool NormalBatchAvx2Active();
 
 namespace internal {
@@ -50,10 +48,10 @@ void NormalInverseCdfBatchScalar(const double* p, double* z, std::size_t n);
 void NormalCdfBatchScalar(const double* x, double* out, std::size_t n);
 void NormalPdfBatchScalar(const double* x, double* out, std::size_t n);
 
-/// AVX2 kernels. When the build did not compile them (DPCOPULA_SIMD=OFF or
-/// no -mavx2 support) these symbols are defined as forwards to the scalar
-/// loops, so tests may always reference them; NormalBatchAvx2Compiled()
-/// says which implementation is behind the name.
+/// AVX2 kernels. When the build did not compile them (the compiler has no
+/// -mavx2) these symbols are defined as forwards to the scalar loops, so
+/// tests may always reference them; NormalBatchAvx2Compiled() says which
+/// implementation is behind the name.
 void NormalInverseCdfBatchAvx2(const double* p, double* z, std::size_t n);
 void NormalCdfBatchAvx2(const double* x, double* out, std::size_t n);
 void NormalPdfBatchAvx2(const double* x, double* out, std::size_t n);

@@ -824,7 +824,6 @@ TEST(HybridTest, MatchesCopyFilterConcatReference) {
     EXPECT_GT(ExpectMatchesReference(*census, low, 20).num_skipped_partitions,
               0);
   }
-#if DPCOPULA_FAILPOINTS_ENABLED
   {
     SCOPED_TRACE("core.correlation_estimate armed 1in2");
     ASSERT_TRUE(failpoint::Registry::Global()
@@ -834,7 +833,6 @@ TEST(HybridTest, MatchesCopyFilterConcatReference) {
     failpoint::Registry::Global().DisarmAll();
     EXPECT_GT(ref.degraded_partitions, 0);
   }
-#endif  // DPCOPULA_FAILPOINTS_ENABLED
 }
 
 }  // namespace

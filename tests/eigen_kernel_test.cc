@@ -221,8 +221,6 @@ TEST(HouseholderStage, ReconstructsInputFromTridiagonalForm) {
 // Failure semantics: the injected fault and a real budget exhaustion both
 // surface as NumericalError, with a data-independent message.
 
-#if DPCOPULA_FAILPOINTS_ENABLED
-
 TEST(EigenKernelFailpoints, InjectedConvergeFaultIsNumericalError) {
   Rng rng(0xe16e5008);
   const Matrix a = RandomCorrelation(12, &rng);
@@ -234,8 +232,6 @@ TEST(EigenKernelFailpoints, InjectedConvergeFaultIsNumericalError) {
   EXPECT_NE(result.status().message().find("linalg.eigen.converge"),
             std::string::npos);
 }
-
-#endif  // DPCOPULA_FAILPOINTS_ENABLED
 
 TEST(EigenKernelFailpoints, QlBudgetExhaustionIsDataIndependent) {
   Rng rng(0xe16e5009);
@@ -257,8 +253,6 @@ TEST(EigenKernelFailpoints, QlBudgetExhaustionIsDataIndependent) {
   }
 }
 
-#if DPCOPULA_FAILPOINTS_ENABLED
-
 TEST(EigenKernelFailpoints, RepairShrinkageRetryCoversQlKernel) {
   // One injected non-convergence: the repair must retry on the shrunk
   // matrix and succeed.
@@ -270,8 +264,6 @@ TEST(EigenKernelFailpoints, RepairShrinkageRetryCoversQlKernel) {
   ASSERT_TRUE(repaired.ok()) << repaired.status().message();
   EXPECT_TRUE(IsPositiveDefinite(*repaired));
 }
-
-#endif  // DPCOPULA_FAILPOINTS_ENABLED
 
 }  // namespace
 }  // namespace dpcopula::linalg

@@ -1,4 +1,4 @@
-// Fault-injection suite: sweeps every compiled-in fail point and asserts
+// Fault-injection suite: sweeps every fail point in KnownSites() and asserts
 // the fail-closed contract — each injected fault either recovers with an
 // explicit, recorded accuracy downgrade or errors out with nothing
 // released; recovered output is bit-identical at every thread count under
@@ -44,7 +44,7 @@ using failpoint::Mode;
 using failpoint::Registry;
 using failpoint::Spec;
 
-[[maybe_unused]] data::Table MakeSynthetic(std::size_t n, std::size_t m, double rho, Rng* rng,
+data::Table MakeSynthetic(std::size_t n, std::size_t m, double rho, Rng* rng,
                           std::int64_t domain = 50) {
   std::vector<data::MarginSpec> specs;
   for (std::size_t j = 0; j < m; ++j) {
@@ -55,17 +55,17 @@ using failpoint::Spec;
   return *data::GenerateGaussianDependent(specs, *corr, n, rng);
 }
 
-[[maybe_unused]] bool FileExists(const std::string& path) {
+bool FileExists(const std::string& path) {
   return std::ifstream(path).good();
 }
 
-[[maybe_unused]] std::string ReadFile(const std::string& path) {
+std::string ReadFile(const std::string& path) {
   std::ifstream in(path);
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
 }
 
-[[maybe_unused]] void ExpectTablesIdentical(const data::Table& x, const data::Table& y) {
+void ExpectTablesIdentical(const data::Table& x, const data::Table& y) {
   ASSERT_EQ(x.num_rows(), y.num_rows());
   ASSERT_EQ(x.num_columns(), y.num_columns());
   for (std::size_t j = 0; j < x.num_columns(); ++j) {
@@ -73,7 +73,7 @@ using failpoint::Spec;
   }
 }
 
-[[maybe_unused]] void ExpectMatricesIdentical(const linalg::Matrix& a,
+void ExpectMatricesIdentical(const linalg::Matrix& a,
                              const linalg::Matrix& b) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
@@ -84,14 +84,9 @@ using failpoint::Spec;
   }
 }
 
-[[maybe_unused]] std::int64_t CounterValue(const char* name) {
+std::int64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name)->Value();
 }
-
-// Degradation counters only count when the obs layer is compiled in; with
-// -DDPCOPULA_OBS=OFF every counter reads 0 and the delta assertions below
-// must not fire (the recovery behavior itself is still asserted).
-constexpr bool kCountersLive = DPCOPULA_OBS_ENABLED != 0;
 
 // Every test arms sites, so the fixture guarantees a clean slate (and
 // metrics, which the degradation counters need) on both sides.
@@ -188,8 +183,6 @@ TEST_F(FaultInjectionTest, ArmFromEnvParsesEntryList) {
       Registry::Global().ArmFromEnv("bogus;test.env.c=always").ok());
   EXPECT_TRUE(Registry::Global().GetSite("test.env.c")->armed());
 }
-
-#if DPCOPULA_FAILPOINTS_ENABLED
 
 TEST_F(FaultInjectionTest, ScopedContextDrivesImplicitIndex) {
   ASSERT_TRUE(Registry::Global().Arm("test.ctx", "1in2").ok());
@@ -348,9 +341,7 @@ TEST_F(FaultInjectionTest, EigenRetryRecoversFromOneNonConvergence) {
   auto repaired = linalg::EnsureCorrelationMatrix(bad);
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
   EXPECT_TRUE(linalg::IsPositiveDefinite(*repaired));
-  if (kCountersLive) {
-    EXPECT_EQ(CounterValue("linalg.eigen_retries"), retries_before + 1);
-  }
+  EXPECT_EQ(CounterValue("linalg.eigen_retries"), retries_before + 1);
 
   Registry::Global().DisarmAll();
   ASSERT_TRUE(
@@ -375,10 +366,8 @@ TEST_F(FaultInjectionTest, MleAveragesSurvivingPartitions) {
   auto est = copula::EstimateMleCorrelation(t, 2.0, &rng_a, options);
   ASSERT_TRUE(est.ok()) << est.status().ToString();
   EXPECT_EQ(est->failed_partitions, 2);
-  if (kCountersLive) {
-    EXPECT_EQ(CounterValue("mle.partition_fit_failures"),
-              failures_before + 2);
-  }
+  EXPECT_EQ(CounterValue("mle.partition_fit_failures"),
+            failures_before + 2);
   // Scale reflects the 6 survivors, not the 8 partitions: a *larger* noise
   // scale, never a smaller one (that would be a privacy bug).
   const double num_pairs = 3.0;
@@ -435,10 +424,8 @@ TEST_F(FaultInjectionTest, SynthesizeDegradesCorrelationWhenAllowed) {
   ExpectMatricesIdentical(res->model.correlation, linalg::Matrix::Identity(3));
   EXPECT_NEAR(res->budget.spent(), options.epsilon, 1e-9);
   EXPECT_EQ(res->synthetic.num_rows(), t.num_rows());
-  if (kCountersLive) {
-    EXPECT_EQ(CounterValue("core.degraded_correlations"),
-              degraded_before + 1);
-  }
+  EXPECT_EQ(CounterValue("core.degraded_correlations"),
+            degraded_before + 1);
 }
 
 TEST_F(FaultInjectionTest, HybridPartitionFaultFailsClosed) {
@@ -556,9 +543,7 @@ TEST_F(FaultInjectionTest, DispatchFaultFallsBackSequentially) {
   Rng rng_b(62);
   auto degraded = core::Synthesize(t, options, &rng_b);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  if (kCountersLive) {
-    EXPECT_GT(CounterValue("parallel.dispatch_fallbacks"), fallbacks_before);
-  }
+  EXPECT_GT(CounterValue("parallel.dispatch_fallbacks"), fallbacks_before);
   // The fallback only loses parallel wall-clock; output bytes are the same.
   ExpectTablesIdentical(healthy->synthetic, degraded->synthetic);
 }
@@ -584,10 +569,8 @@ TEST_F(FaultInjectionTest, StreamingRejectsPoisonedBatchWithoutCorruption) {
   ASSERT_FALSE(poisoned.ok());
   EXPECT_NE(poisoned.message().find("streaming.ingest.merge"),
             std::string::npos);
-  if (kCountersLive) {
-    EXPECT_EQ(CounterValue("streaming.batches_rejected"),
-              rejected_before + 1);
-  }
+  EXPECT_EQ(CounterValue("streaming.batches_rejected"),
+            rejected_before + 1);
   EXPECT_EQ(s.num_batches(), 1u);
   EXPECT_EQ(s.accumulated_weight(), weight_before);
   auto after = s.CurrentModel();
@@ -825,8 +808,6 @@ TEST_F(FaultInjectionTest, SuiteSweepsEveryKnownSite) {
   std::sort(known.begin(), known.end());
   EXPECT_EQ(exercised, known);
 }
-
-#endif  // DPCOPULA_FAILPOINTS_ENABLED
 
 // ---------------------------------------------------------------------------
 // Existing-but-unexercised failure paths (no injection needed).

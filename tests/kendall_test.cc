@@ -5,22 +5,24 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "reference/kendall_reference.h"
 #include "stats/kendall.h"
 
 namespace dpcopula::stats {
 namespace {
 
+// The inversion count behind the Knight's-algorithm oracle.
 TEST(InversionsTest, SortedHasNone) {
-  EXPECT_EQ(CountInversions({1, 2, 3, 4, 5}), 0u);
+  EXPECT_EQ(reference::CountInversions({1, 2, 3, 4, 5}), 0u);
 }
 
 TEST(InversionsTest, ReverseSortedHasAll) {
-  EXPECT_EQ(CountInversions({5, 4, 3, 2, 1}), 10u);
+  EXPECT_EQ(reference::CountInversions({5, 4, 3, 2, 1}), 10u);
 }
 
 TEST(InversionsTest, KnownCase) {
   // (2,1), (3,1), (8,1), (8,7) -> 4 inversions.
-  EXPECT_EQ(CountInversions({2, 3, 8, 1, 7}), 4u);
+  EXPECT_EQ(reference::CountInversions({2, 3, 8, 1, 7}), 4u);
 }
 
 TEST(KendallTest, PerfectConcordance) {
@@ -63,15 +65,16 @@ TEST(KendallTest, ErrorsOnBadInput) {
 }
 
 TEST(KendallTest, RejectsNonFiniteInput) {
-  // A NaN in either column would make the (x, y) sort comparator a
-  // non-strict weak order — UB in std::sort — so both paths must fail
+  // A NaN in either column would make a sort comparator a non-strict weak
+  // order — UB in std::sort — so the kernel and both oracles must fail
   // closed, with a data-independent message.
   const double nan = std::nan("");
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<double> clean = {1, 2, 3, 4};
   for (const double bad : {nan, inf, -inf}) {
     const std::vector<double> poisoned = {1, bad, 3, 4};
-    for (auto* fn : {&KendallTau, &KendallTauBruteForce}) {
+    for (auto* fn : {&KendallTau, &reference::KendallTau,
+                     &reference::KendallTauBruteForce}) {
       auto xy = (*fn)(poisoned, clean);
       auto yx = (*fn)(clean, poisoned);
       ASSERT_FALSE(xy.ok());
@@ -103,6 +106,8 @@ TEST(KendallTest, GaussianRelationTauToRho) {
 class KendallEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(KendallEquivalenceTest, FastMatchesBruteForce) {
+  // Against both oracles: Knight's algorithm to the last bit, the O(n^2)
+  // definition to round-off.
   Rng rng(static_cast<std::uint64_t>(100 + GetParam()));
   const std::size_t n = 50 + static_cast<std::size_t>(GetParam()) * 17;
   std::vector<double> x(n), y(n);
@@ -111,7 +116,9 @@ TEST_P(KendallEquivalenceTest, FastMatchesBruteForce) {
     x[i] = static_cast<double>(rng.NextUint64Below(8));
     y[i] = static_cast<double>(rng.NextUint64Below(8)) + 0.25 * x[i];
   }
-  EXPECT_NEAR(*KendallTau(x, y), *KendallTauBruteForce(x, y), 1e-12);
+  EXPECT_EQ(*KendallTau(x, y), *reference::KendallTau(x, y));
+  EXPECT_NEAR(*KendallTau(x, y), *reference::KendallTauBruteForce(x, y),
+              1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomData, KendallEquivalenceTest,

@@ -227,19 +227,6 @@ TEST(PsdRepairTest, RepairedStaysCloseToInput) {
   EXPECT_LT(out->MaxAbsDiff(a), 0.35);
 }
 
-TEST(PsdRepairTest, AbsVariantAlsoValid) {
-  Matrix a = Matrix::FromRows({
-      {1.0, 0.9, -0.9},
-      {0.9, 1.0, 0.9},
-      {-0.9, 0.9, 1.0},
-  });
-  PsdRepairOptions opts;
-  opts.use_abs = true;
-  auto out = RepairToCorrelation(a, opts);
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(IsPositiveDefinite(*out));
-}
-
 class CholeskyRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CholeskyRandomTest, SolveResidualsNearZero) {
@@ -426,9 +413,7 @@ TEST(PsdRepairTest, NonPositiveDiagonalAfterLiftFailsClosed) {
   EXPECT_EQ(repaired.status().code(), StatusCode::kNumericalError);
   EXPECT_NE(repaired.status().message().find("non-positive diagonal"),
             std::string::npos);
-  if (DPCOPULA_OBS_ENABLED != 0) {
-    EXPECT_EQ(failures->Value(), before + 1);
-  }
+  EXPECT_EQ(failures->Value(), before + 1);
   obs::SetObsConfig(obs::ObsConfig{});
 }
 

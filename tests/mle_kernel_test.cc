@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cpuinfo.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "copula/gaussian_copula.h"
@@ -102,6 +103,16 @@ std::vector<double> ProbeProbabilities() {
   Rng rng(424242);
   for (int i = 0; i < 5000; ++i) p.push_back(rng.NextDouble());
   return p;
+}
+
+// The bitwise tests below compare scalar with scalar unless the AVX2 unit
+// is compiled and dispatched, so on a CPU that reports AVX2 it must be both.
+TEST(NormalBatchKernelTest, Avx2KernelsActiveOnAvx2Cpu) {
+  if (!common::CpuSupportsAvx2()) {
+    GTEST_SKIP() << "the CPU does not report AVX2";
+  }
+  EXPECT_TRUE(stats::NormalBatchAvx2Compiled());
+  EXPECT_TRUE(stats::NormalBatchAvx2Active());
 }
 
 TEST(NormalBatchKernelTest, InverseCdfScalarMatchesAvx2Bitwise) {

@@ -1,10 +1,6 @@
 // Observability layer: metric sharding under the shared pool, span-tree
 // nesting, the JSON run report and its reader, and — most importantly — the
 // guarantee that turning obs on or off never changes a single released byte.
-//
-// Every assertion about recorded values is guarded on DPCOPULA_OBS_ENABLED
-// so the suite also passes (and still exercises the no-op stubs) when the
-// library is built with -DDPCOPULA_OBS=OFF.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,24 +56,16 @@ TEST_F(ObsTest, CounterShardsAreRaceFreeUnderParallelFor) {
         for (std::size_t i = begin; i < end; ++i) counter->Increment();
       },
       /*num_threads=*/8);
-#if DPCOPULA_OBS_ENABLED
   EXPECT_EQ(counter->Value(), static_cast<std::int64_t>(kItems));
   counter->Reset();
   EXPECT_EQ(counter->Value(), 0);
-#else
-  EXPECT_EQ(counter->Value(), 0);
-#endif
 }
 
 TEST_F(ObsTest, GaugeHoldsLastWrite) {
   obs::Gauge* gauge = obs::MetricsRegistry::Global().GetGauge("obs_test.g");
   gauge->Set(2.5);
   gauge->Set(-7.0);
-#if DPCOPULA_OBS_ENABLED
   EXPECT_EQ(gauge->Value(), -7.0);
-#else
-  EXPECT_EQ(gauge->Value(), 0.0);
-#endif
 }
 
 TEST_F(ObsTest, HistogramBucketsObservationsBySeconds) {
@@ -94,7 +82,6 @@ TEST_F(ObsTest, HistogramBucketsObservationsBySeconds) {
   h->Observe(3e-9);    // 3 ns: the exact small-value region (bucket == n).
   h->Observe(0.5e-6);  // 500 ns: a log bucket.
   h->Observe(1e9);     // Far past the 2^42ns range: overflow bucket.
-#if DPCOPULA_OBS_ENABLED
   EXPECT_EQ(h->Count(), 3);
   const auto buckets = h->BucketCounts();
   EXPECT_EQ(buckets[3], 1);
@@ -107,9 +94,6 @@ TEST_F(ObsTest, HistogramBucketsObservationsBySeconds) {
   EXPECT_EQ(total, 3);
   EXPECT_GT(h->Sum(), 0.0);
   EXPECT_NEAR(h->Max(), 1e9, 1e-9 * 1e9 + 5e9);  // Clamped into range.
-#else
-  EXPECT_EQ(h->Count(), 0);
-#endif
 }
 
 TEST_F(ObsTest, HistogramBucketIndexInvariants) {
@@ -163,7 +147,6 @@ TEST_F(ObsTest, HistogramQuantilesMatchExactWithinBucketError) {
     values.push_back(seconds);
     h->Observe(seconds);
   }
-#if DPCOPULA_OBS_ENABLED
   std::vector<double> sorted = values;
   std::sort(sorted.begin(), sorted.end());
   for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
@@ -189,9 +172,6 @@ TEST_F(ObsTest, HistogramQuantilesMatchExactWithinBucketError) {
   EXPECT_LE(summary.p99, summary.p999);
   EXPECT_LE(summary.p999, summary.max_seconds *
                               (1.0 + 1.0 / obs::Histogram::kSubBucketCount));
-#else
-  EXPECT_EQ(h->Quantile(0.5), 0.0);
-#endif
 }
 
 TEST_F(ObsTest, HistogramEmptyAndSingleObservationQuantiles) {
@@ -199,13 +179,11 @@ TEST_F(ObsTest, HistogramEmptyAndSingleObservationQuantiles) {
       obs::MetricsRegistry::Global().GetHistogram("obs_test.hq1");
   EXPECT_EQ(h->Quantile(0.5), 0.0);  // Empty histogram.
   h->Observe(1.5e-3);
-#if DPCOPULA_OBS_ENABLED
   for (double q : {0.0, 0.5, 1.0}) {
     EXPECT_GE(h->Quantile(q), 1.5e-3 * (1.0 - 1e-9) - 2e-9);
     EXPECT_LE(h->Quantile(q),
               1.5e-3 * (1.0 + 1.0 / obs::Histogram::kSubBucketCount));
   }
-#endif
 }
 
 TEST_F(ObsTest, HistogramConcurrentObserveAndQuantile) {
@@ -227,12 +205,8 @@ TEST_F(ObsTest, HistogramConcurrentObserveAndQuantile) {
         }
       },
       /*num_threads=*/8);
-#if DPCOPULA_OBS_ENABLED
   EXPECT_EQ(h->Count(), static_cast<std::int64_t>(kItems));
   EXPECT_GT(h->Quantile(0.5), 0.0);
-#else
-  EXPECT_EQ(h->Count(), 0);
-#endif
 }
 
 TEST_F(ObsTest, RegistryReturnsStablePointersAndSnapshots) {
@@ -245,9 +219,7 @@ TEST_F(ObsTest, RegistryReturnsStablePointersAndSnapshots) {
       snapshot.begin(), snapshot.end(),
       [](const auto& m) { return m.name == "obs_test.c1"; });
   ASSERT_NE(it, snapshot.end());
-#if DPCOPULA_OBS_ENABLED
   EXPECT_EQ(it->counter_value, 5);
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +238,6 @@ TEST_F(ObsTest, SpansNestViaThreadLocalStack) {
     (void)sibling;
     (void)outer;
   }
-#if DPCOPULA_OBS_ENABLED
   const auto spans = obs::Tracer::Global().Snapshot();
   ASSERT_EQ(spans.size(), 4u);
   std::map<std::string, obs::SpanRecord> by_name;
@@ -276,9 +247,6 @@ TEST_F(ObsTest, SpansNestViaThreadLocalStack) {
   EXPECT_EQ(by_name["inner"].parent, by_name["middle"].id);
   EXPECT_EQ(by_name["sibling"].parent, by_name["outer"].id);
   for (const auto& s : spans) EXPECT_GE(s.duration_ns, 0);
-#else
-  EXPECT_TRUE(obs::Tracer::Global().Snapshot().empty());
-#endif
 }
 
 TEST_F(ObsTest, ExplicitParentAttachesPoolWorkerSpans) {
@@ -298,7 +266,6 @@ TEST_F(ObsTest, ExplicitParentAttachesPoolWorkerSpans) {
         },
         /*num_threads=*/4);
   }
-#if DPCOPULA_OBS_ENABLED
   const auto spans = obs::Tracer::Global().Snapshot();
   ASSERT_EQ(spans.size(), 9u);
   int children = 0;
@@ -309,7 +276,6 @@ TEST_F(ObsTest, ExplicitParentAttachesPoolWorkerSpans) {
     }
   }
   EXPECT_EQ(children, 8);
-#endif
 }
 
 TEST_F(ObsTest, ResetDropsRecordedSpans) {
@@ -324,7 +290,6 @@ TEST_F(ObsTest, TracerBufferIsBoundedAndCountsDrops) {
   for (std::size_t i = 0; i < obs::Tracer::kMaxSpans + kExtra; ++i) {
     obs::Span s("flood");
   }
-#if DPCOPULA_OBS_ENABLED
   EXPECT_EQ(obs::Tracer::Global().Snapshot().size(), obs::Tracer::kMaxSpans);
   EXPECT_EQ(obs::Tracer::Global().dropped(),
             static_cast<std::int64_t>(kExtra));
@@ -338,9 +303,6 @@ TEST_F(ObsTest, TracerBufferIsBoundedAndCountsDrops) {
   { obs::Span s("after_reset"); }
   EXPECT_EQ(obs::Tracer::Global().Snapshot().size(), 1u);
   EXPECT_EQ(obs::Tracer::Global().dropped(), 0);
-#else
-  EXPECT_TRUE(obs::Tracer::Global().Snapshot().empty());
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -395,7 +357,6 @@ TEST_F(ObsTest, ChromeTraceNestedSpansStayContained) {
     (void)outer;
     (void)inner;
   }
-#if DPCOPULA_OBS_ENABLED
   const auto spans = obs::Tracer::Global().Snapshot();
   ASSERT_EQ(spans.size(), 2u);
   const auto& inner =
@@ -411,7 +372,6 @@ TEST_F(ObsTest, ChromeTraceNestedSpansStayContained) {
   EXPECT_TRUE(obs::ParseJson(json).ok());
   EXPECT_NE(json.find("\"outer\""), std::string::npos);
   EXPECT_NE(json.find("\"inner\""), std::string::npos);
-#endif
 }
 
 TEST_F(ObsTest, ChromeTraceEmptyTraceIsValid) {
@@ -550,7 +510,6 @@ TEST_F(ObsTest, RunReportJsonRoundTrips) {
   }
   EXPECT_NEAR(report_sum, options.epsilon, 1e-9);
 
-#if DPCOPULA_OBS_ENABLED
   // Phase spans from the pipeline.
   for (const char* phase :
        {"\"synthesize\"", "\"budget_split\"", "\"margins\"",
@@ -564,7 +523,6 @@ TEST_F(ObsTest, RunReportJsonRoundTrips) {
     if (json.find(prefix) != std::string::npos) ++modules;
   }
   EXPECT_GE(modules, 4);
-#endif
 
   // Null audit must also render valid JSON (eval / sample-only modes).
   const std::string no_budget = obs::RenderRunReportJson(nullptr);
@@ -591,13 +549,11 @@ TEST_F(ObsTest, TraceVolumeDependsOnSchemaNotRows) {
   const std::size_t small = spans_for(10000);
   const std::size_t large = spans_for(100000);
   EXPECT_EQ(small, large);
-#if DPCOPULA_OBS_ENABLED
   EXPECT_GT(small, 0u);
   EXPECT_GT(obs::MetricsRegistry::Global()
                 .GetHistogram("profile.inverse_cdf_seconds")
                 ->Count(),
             100000 / 256);
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -639,7 +595,6 @@ TEST_F(ObsTest, ObsOnVersusOffIsByteIdentical) {
   EXPECT_TRUE(TablesEqual(off_1, on_1));
   EXPECT_TRUE(TablesEqual(off_1, on_7));
   EXPECT_TRUE(TablesEqual(off_1, off_7));
-#if DPCOPULA_OBS_ENABLED
   // The "on" runs timed every stage of the pipeline they reach.
   for (const char* stage :
        {"margin_publish", "rank_cache_build", "tau_pairs", "laplace_noise",
@@ -651,7 +606,6 @@ TEST_F(ObsTest, ObsOnVersusOffIsByteIdentical) {
               0)
         << stage;
   }
-#endif
 }
 
 }  // namespace

@@ -3,9 +3,6 @@
 // stage histograms account for the wall clock of a single-threaded run;
 // peak-RSS sampling and graceful hardware counter fallback in containers
 // that deny perf_event_open.
-//
-// Recording assertions are guarded on DPCOPULA_OBS_ENABLED so the suite
-// also exercises the no-op stubs under -DDPCOPULA_OBS=OFF.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,10 +76,8 @@ TEST_F(ProfileTest, HistogramOnlySpanObservesAndRecordsNoSpan) {
     for (int i = 0; i < 1000; ++i) sink = sink + static_cast<double>(i);
   }
   EXPECT_TRUE(Tracer::Global().Snapshot().empty());
-#if DPCOPULA_OBS_ENABLED
   EXPECT_EQ(StageHistogram("tau_pairs")->Count(), 1);
   EXPECT_GE(StageHistogram("tau_pairs")->Sum(), 0.0);
-#endif
   // The per-run reset zeroes the stage histograms; registrations survive.
   MetricsRegistry::Global().ResetAll();
   EXPECT_EQ(StageHistogram("tau_pairs")->Count(), 0);
@@ -107,7 +102,6 @@ TEST_F(ProfileTest, OffSpansDoNotAllocate) {
   EXPECT_TRUE(Tracer::Global().Snapshot().empty());
 }
 
-#if DPCOPULA_OBS_ENABLED
 // One pair of clock reads feeds the span record and the histogram, so the
 // trace and the per-stage table agree to the nanosecond.
 TEST_F(ProfileTest, OneClockFeedsTraceAndHistogram) {
@@ -209,7 +203,6 @@ TEST_F(ProfileTest, SingleThreadStageSumsTrackWallClock) {
       << "stage coverage too low: median " << coverage[kRuns / 2]
       << " of " << kRuns << " calls";
 }
-#endif  // DPCOPULA_OBS_ENABLED
 
 TEST_F(ProfileTest, PeakRssIsPositiveOnLinux) {
   const std::int64_t rss = PeakRssBytes();
@@ -249,7 +242,6 @@ TEST_F(ProfileTest, HwCountersDegradeGracefully) {
 
 TEST_F(ProfileTest, ProfileSessionPublishesGauges) {
   { ProfileSession session; }
-#if DPCOPULA_OBS_ENABLED
   Gauge* rss = MetricsRegistry::Global().GetGauge("profile.peak_rss_bytes");
   Gauge* hw = MetricsRegistry::Global().GetGauge("profile.hw_available");
 #if defined(__linux__)
@@ -262,7 +254,6 @@ TEST_F(ProfileTest, ProfileSessionPublishesGauges) {
     EXPECT_EQ(
         MetricsRegistry::Global().GetGauge("profile.hw_cycles")->Value(), 0.0);
   }
-#endif
 }
 
 TEST_F(ProfileTest, ProfileSessionPublishesNothingWithMetricsOff) {
