@@ -20,7 +20,6 @@ namespace {
 struct PoolMetrics {
   obs::Counter* pool_runs;        // Run() calls that actually fanned out.
   obs::Counter* inline_runs;      // Run()/ParallelFor calls executed inline.
-  obs::Counter* nested_inline;    // Inline because caller is a pool worker.
   obs::Counter* pool_tasks;       // Tasks executed across all Run() calls.
   obs::Counter* shards;           // Shards created by ParallelFor*().
   obs::Counter* rng_splits;       // Shard RNG streams pre-derived.
@@ -32,7 +31,6 @@ PoolMetrics& Metrics() {
   static PoolMetrics m = {
       obs::MetricsRegistry::Global().GetCounter("parallel.pool_runs"),
       obs::MetricsRegistry::Global().GetCounter("parallel.inline_runs"),
-      obs::MetricsRegistry::Global().GetCounter("parallel.nested_inline"),
       obs::MetricsRegistry::Global().GetCounter("parallel.pool_tasks"),
       obs::MetricsRegistry::Global().GetCounter("parallel.shards"),
       obs::MetricsRegistry::Global().GetCounter("parallel.rng_splits"),
@@ -55,13 +53,6 @@ int ResolveNumThreads(int requested) {
   return std::max(1, requested);
 }
 
-namespace {
-// Set while a thread is executing pool work; nested ParallelFor calls see
-// it and fall back to inline execution instead of blocking a worker on
-// tasks that may be queued behind it (classic pool deadlock).
-thread_local bool t_in_pool_worker = false;
-}  // namespace
-
 struct ThreadPool::Impl {
   std::mutex mu;
   std::condition_variable cv;
@@ -70,7 +61,6 @@ struct ThreadPool::Impl {
   bool stop = false;
 
   void WorkerLoop() {
-    t_in_pool_worker = true;
     for (;;) {
       std::function<void()> job;
       {
@@ -114,8 +104,6 @@ ThreadPool& ThreadPool::Global() {
   return *pool;
 }
 
-bool ThreadPool::InWorker() { return t_in_pool_worker; }
-
 void ThreadPool::Run(std::size_t num_tasks, int max_parallelism,
                      const std::function<void(std::size_t)>& task) {
   if (num_tasks == 0) return;
@@ -124,10 +112,9 @@ void ThreadPool::Run(std::size_t num_tasks, int max_parallelism,
                     static_cast<int>(std::min<std::size_t>(
                         num_tasks, static_cast<std::size_t>(
                                        num_workers() + 1))));
-  if (parallelism <= 1 || num_tasks == 1 || InWorker()) {
+  if (parallelism <= 1 || num_tasks == 1) {
     if (obs::MetricsEnabled()) {
       Metrics().inline_runs->Increment();
-      if (InWorker()) Metrics().nested_inline->Increment();
       Metrics().pool_tasks->Add(static_cast<std::int64_t>(num_tasks));
     }
     for (std::size_t i = 0; i < num_tasks; ++i) task(i);
@@ -171,12 +158,11 @@ void ThreadPool::Run(std::size_t num_tasks, int max_parallelism,
   }
   impl_->cv.notify_all();
 
-  // The calling thread claims shards too; mark it as "in pool work" so any
-  // nested ParallelFor it triggers runs inline.
-  const bool was_in_worker = t_in_pool_worker;
-  t_in_pool_worker = true;
+  // The caller claims tasks too, until none is left unstarted, so it only
+  // ever waits on tasks that other threads are running. That is what makes
+  // a Run issued from inside a pool task deadlock-free: its helpers may sit
+  // in the queue behind busy workers, but the caller does their share.
   drain(state);
-  t_in_pool_worker = was_in_worker;
 
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock,
@@ -201,10 +187,9 @@ void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
   if (begin >= end) return;
   const int threads = ResolveNumThreads(num_threads);
   const std::size_t g = std::max<std::size_t>(1, grain);
-  if (threads <= 1 || end - begin <= g || ThreadPool::InWorker()) {
+  if (threads <= 1 || end - begin <= g) {
     if (obs::MetricsEnabled()) {
       Metrics().inline_runs->Increment();
-      if (ThreadPool::InWorker()) Metrics().nested_inline->Increment();
       Metrics().shards->Add(
           static_cast<std::int64_t>((end - begin + g - 1) / g));
     }
@@ -238,42 +223,25 @@ void ParallelForSharded(
     const std::function<void(std::size_t, std::size_t, Rng*)>& fn,
     int num_threads) {
   if (begin >= end) return;
-  const std::vector<Shard> shards = MakeShards(begin, end, grain);
+  const std::size_t g = std::max<std::size_t>(1, grain);
+  const std::size_t num_shards = (end - begin + g - 1) / g;
   // Split in shard order before any task runs: the parent RNG advances by
-  // exactly shards.size() states and every shard's stream is fixed no
-  // matter how shards are later scheduled.
+  // exactly num_shards states and every shard's stream is fixed no matter
+  // how ParallelFor later schedules (or sequentially drains) the shards.
   std::vector<Rng> shard_rngs;
-  shard_rngs.reserve(shards.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
+  shard_rngs.reserve(num_shards);
+  for (std::size_t i = 0; i < num_shards; ++i) {
     shard_rngs.push_back(rng->Split());
   }
   if (obs::MetricsEnabled()) {
-    Metrics().shards->Add(static_cast<std::int64_t>(shards.size()));
-    Metrics().rng_splits->Add(static_cast<std::int64_t>(shards.size()));
+    Metrics().rng_splits->Add(static_cast<std::int64_t>(num_shards));
   }
-  const int threads = ResolveNumThreads(num_threads);
-  if (threads <= 1 || shards.size() == 1 || ThreadPool::InWorker()) {
-    if (obs::MetricsEnabled()) {
-      Metrics().inline_runs->Increment();
-      if (ThreadPool::InWorker()) Metrics().nested_inline->Increment();
-    }
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      fn(shards[i].begin, shards[i].end, &shard_rngs[i]);
-    }
-    return;
-  }
-  // Same fallback as ParallelFor: shard RNGs were pre-split above, so the
-  // sequential drain produces bit-identical output.
-  if (DPC_FAILPOINT("parallel.dispatch")) {
-    Metrics().dispatch_fallbacks->Increment();
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      fn(shards[i].begin, shards[i].end, &shard_rngs[i]);
-    }
-    return;
-  }
-  ThreadPool::Global().Run(shards.size(), threads, [&](std::size_t i) {
-    fn(shards[i].begin, shards[i].end, &shard_rngs[i]);
-  });
+  ParallelFor(
+      begin, end, g,
+      [&](std::size_t lo, std::size_t hi) {
+        fn(lo, hi, &shard_rngs[(lo - begin) / g]);
+      },
+      num_threads);
 }
 
 }  // namespace dpcopula

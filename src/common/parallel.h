@@ -21,10 +21,11 @@ int ResolveNumThreads(int requested);
 /// A fixed-size thread pool with a plain FIFO queue (no work stealing —
 /// every task in this library is a coarse shard, so a single shared queue
 /// is contention-free in practice). The pool is lazily created on first
-/// use and sized from HardwareThreads(); it never blocks a worker on
-/// another pool task: ParallelFor called from inside a worker runs inline,
-/// which makes nested parallelism (hybrid partitions that themselves
-/// sample) deadlock-free by construction.
+/// use and sized from HardwareThreads(). Run may be called from inside a
+/// pool task (hybrid partitions that themselves fit and sample): the
+/// nested loop fans out to idle workers through the same queue, and it
+/// cannot deadlock, because Run's caller claims every task nobody has
+/// started before it waits (DESIGN.md §4b).
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -46,9 +47,6 @@ class ThreadPool {
   void Run(std::size_t num_tasks, int max_parallelism,
            const std::function<void(std::size_t)>& task);
 
-  /// True when the current thread is one of this pool's workers.
-  static bool InWorker();
-
  private:
   struct Impl;
   Impl* impl_;
@@ -69,8 +67,8 @@ std::vector<Shard> MakeShards(std::size_t begin, std::size_t end,
 /// Runs fn(shard_begin, shard_end) over the deterministic shards of
 /// [begin, end) using up to ResolveNumThreads(num_threads) threads from
 /// the global pool. `fn` must only touch state owned by its shard.
-/// Sequential (and allocation-free) when the effective thread count is 1,
-/// the range fits one shard, or the caller is itself a pool worker.
+/// Sequential (and allocation-free) when the effective thread count is 1
+/// or the range fits one shard.
 void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
                  const std::function<void(std::size_t, std::size_t)>& fn,
                  int num_threads);

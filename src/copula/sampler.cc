@@ -159,17 +159,28 @@ Result<data::Table> SamplingPlan::Sample(std::size_t num_rows, Rng* rng,
     return Status::InvalidArgument(
         "sample row count exceeds the longest column a table can hold");
   }
-  const std::size_t m = tables_.size();
   data::Table out = data::Table::Zeros(schema_, num_rows);
+  std::vector<double*> columns(tables_.size());
+  for (std::size_t j = 0; j < columns.size(); ++j) {
+    columns[j] = out.mutable_column(j).data();
+  }
+  DPC_RETURN_NOT_OK(SampleInto(num_rows, rng, num_threads, columns.data()));
+  return out;
+}
+
+Status SamplingPlan::SampleInto(std::size_t num_rows, Rng* rng,
+                                int num_threads,
+                                double* const* columns) const {
+  const std::size_t m = tables_.size();
   if (grid_) {
     // One grid cell and its jitter per row, in row order from `rng`.
     for (std::size_t r = 0; r < num_rows; ++r) {
       const std::vector<double> u = grid_->SampleUniforms(rng);
       for (std::size_t j = 0; j < m; ++j) {
-        out.set(r, j, static_cast<double>(tables_[j].Lookup(u[j])));
+        columns[j][r] = static_cast<double>(tables_[j].Lookup(u[j]));
       }
     }
-    return out;
+    return Status::OK();
   }
   const bool student_t = dof_ > 0.0;
   // Fail-closed flag: a row-level fault anywhere aborts the whole sample —
@@ -177,8 +188,7 @@ Result<data::Table> SamplingPlan::Sample(std::size_t num_rows, Rng* rng,
   std::atomic<bool> injected_failure{false};
   // Rows are sharded with a fixed grain and one split RNG per shard, so the
   // output is bit-identical for every thread count (including 1). Each shard
-  // writes a disjoint row range of the column vectors — no synchronization
-  // needed.
+  // writes a disjoint row range of the columns — no synchronization needed.
   ParallelForSharded(
       0, num_rows, kSamplerShardRows, rng,
       [&](std::size_t row_begin, std::size_t row_end, Rng* shard_rng) {
@@ -225,7 +235,7 @@ Result<data::Table> SamplingPlan::Sample(std::size_t num_rows, Rng* rng,
           }
           obs::Span stage(kInverseCdfSeconds);
           for (std::size_t j = 0; j < m; ++j) {
-            double* col = out.mutable_column(j).data() + tile;
+            double* col = columns[j] + tile;
             const double* wj = scratch.w.data() + j * kSamplerTileRows;
             const stats::InverseCdfTable& table = tables_[j];
             if (student_t) {
@@ -246,7 +256,7 @@ Result<data::Table> SamplingPlan::Sample(std::size_t num_rows, Rng* rng,
   if (injected_failure.load(std::memory_order_relaxed)) {
     return failpoint::InjectedFault("sampler.row");
   }
-  return out;
+  return Status::OK();
 }
 
 Result<data::Table> SampleSyntheticData(

@@ -78,6 +78,14 @@ class SamplingPlan {
   Result<data::Table> Sample(std::size_t num_rows, Rng* rng,
                              int num_threads = 1) const;
 
+  /// Sample's draws written into caller-owned storage: column j of the
+  /// sample goes to columns[j][0, num_rows) and nothing else is written.
+  /// Sample allocates its table and calls this, so both give the same
+  /// bytes and leave `*rng` at the same point. On an injected `sampler.row`
+  /// fault the columns are partly written and must not be released.
+  Status SampleInto(std::size_t num_rows, Rng* rng, int num_threads,
+                    double* const* columns) const;
+
  private:
   SamplingPlan(const data::Schema& schema,
                const std::vector<stats::EmpiricalCdf>& marginal_cdfs);

@@ -77,12 +77,13 @@ struct DpCopulaOptions {
   double t_dof = 0.0;
 
   /// Number of synthetic rows to emit; 0 means "same as the input". (The
-  /// hybrid algorithm passes the noisy per-partition counts here.)
+  /// hybrid algorithm passes each partition's noisy count here, so the
+  /// partition's model records the row count of its output block.)
   std::size_t num_synthetic_rows = 0;
 
   /// Worker threads for the whole synthesis pipeline (shared ThreadPool):
   /// Algorithm 3 row sampling plus the correlation estimator (overrides the
-  /// `num_threads` inside `kendall` / `mle` when running via Synthesize).
+  /// `num_threads` inside `kendall` / `mle` when running via Fit).
   /// Every parallel path shards work and RNG streams deterministically, so
   /// output is bit-identical for any value. 0 = hardware concurrency,
   /// <= 1 = sequential.

@@ -119,6 +119,7 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
     DpCopulaOptions inner = options.inner;
     inner.epsilon = options.epsilon;
     inner.num_synthetic_rows = 0;
+    inner.num_threads = options.num_threads;
     inner.allow_degraded_correlation = true;
     DPC_ASSIGN_OR_RETURN(SynthesisResult res, Synthesize(table, inner, rng));
     HybridResult out;
@@ -181,7 +182,7 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
       .Field("threads", options.num_threads);
 
   // One RNG per partition, pre-split in partition order. Each partition's
-  // noise draws and inner DPCopula run consume only its own stream, so the
+  // noise draws, fit and sampling consume only its own stream, so the
   // release is bit-identical for any thread count.
   std::vector<Rng> part_rngs;
   part_rngs.reserve(partitions);
@@ -192,10 +193,10 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
   // Step 2: every noisy partition count, up front and in partition order
   // (Lap(1/eps_counts); partitions are disjoint, so parallel composition
   // charges eps_counts once overall). Each count stays the first draw on
-  // its partition's stream, ahead of that partition's inner run. A
-  // partition whose count rounds to <= 0 is skipped; any other gets an
-  // output block of the row count its inner run emits,
-  // llround(n_synth * oversample_factor).
+  // its partition's stream, ahead of that partition's fit. A partition
+  // whose count rounds to <= 0 is skipped; any other gets an output block
+  // of llround(n_synth * oversample_factor) rows, which its plan samples
+  // into.
   struct Partition {
     std::size_t synth_rows = 0;  // n_synth; 0 when skipped.
     std::size_t out_begin = 0;
@@ -242,9 +243,10 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
           obs::Span part_span("hybrid.partition", p, run_span_id,
                               partition_seconds);
           // Key any fail point evaluated inside this partition's work —
-          // including generic sites deep in the inner Synthesize — to the
-          // partition index, so a fault schedule fires on the same
-          // partitions for every thread count.
+          // including generic sites deep in its fit — to the partition
+          // index, so a fault schedule fires on the same partitions for
+          // every thread count. Every loop of the partition starts on this
+          // thread, and their pool tasks evaluate only indexed sites.
           failpoint::ScopedContext failpoint_ctx(p);
           Partition& part = parts[p];
           if (DPC_FAILPOINT_AT("hybrid.partition.synthesize", p)) {
@@ -274,39 +276,37 @@ Result<HybridResult> SynthesizeHybrid(const data::Table& table,
           if (large_cols.empty()) continue;
 
           // Step 3: DPCopula on the large-domain columns of this
-          // partition's rows, copied into the block.
-          auto input = GatherRows(table, large_cols, large_schema,
-                                  ranges.rows.data() + ranges.begin[p],
-                                  ranges.begin[p + 1] - ranges.begin[p]);
-          if (!input.ok()) {
-            part.status = input.status();
-            continue;
-          }
-          DpCopulaOptions inner = options.inner;
-          inner.epsilon = eps_copula;
-          inner.num_synthetic_rows = part.synth_rows;
-          inner.allow_degraded_correlation = true;
-          auto res = Synthesize(*input, inner, &part_rngs[p]);
-          if (!res.ok()) {
-            part.status = res.status();
-            continue;
-          }
-          if (res->synthetic.num_rows() != part.out_rows) {
-            part.status = Status::Internal(
-                "hybrid: partition release does not match its block");
-            continue;
-          }
-          if (res->correlation_degraded) {
-            part.degraded = true;
+          // partition's rows: Fit, then Algorithm 3 on the same stream,
+          // straight into the block's large columns.
+          part.status = [&]() -> Status {
+            DPC_ASSIGN_OR_RETURN(
+                const data::Table input,
+                GatherRows(table, large_cols, large_schema,
+                           ranges.rows.data() + ranges.begin[p],
+                           ranges.begin[p + 1] - ranges.begin[p]));
+            DpCopulaOptions inner = options.inner;
+            inner.epsilon = eps_copula;
+            inner.num_synthetic_rows = part.synth_rows;
+            inner.num_threads = options.num_threads;
+            inner.allow_degraded_correlation = true;
+            DPC_ASSIGN_OR_RETURN(const SynthesisResult fit,
+                                 Fit(input, inner, &part_rngs[p]));
+            part.degraded = fit.correlation_degraded;
+            obs::Span sampling_span("sampling");
+            DPC_ASSIGN_OR_RETURN(const copula::SamplingPlan plan,
+                                 BuildSamplingPlan(fit.model));
+            std::vector<double*> block(large_cols.size());
+            for (std::size_t t = 0; t < large_cols.size(); ++t) {
+              block[t] = out.synthetic.mutable_column(large_cols[t]).data() +
+                         part.out_begin;
+            }
+            return plan.SampleInto(part.out_rows, &part_rngs[p],
+                                   options.num_threads, block.data());
+          }();
+          if (part.status.ok() && part.degraded) {
             partitions_degraded->Increment();
             obs::Log(obs::LogLevel::kWarn, "hybrid.partition_degraded")
                 .Field("partition", p);
-          }
-          for (std::size_t t = 0; t < large_cols.size(); ++t) {
-            const std::vector<double>& src = res->synthetic.column(t);
-            std::copy(src.begin(), src.end(),
-                      out.synthetic.mutable_column(large_cols[t]).data() +
-                          part.out_begin);
           }
         }
       },

@@ -39,10 +39,11 @@ inline constexpr std::int64_t kMaxPartitions = 4096;
 /// HybridResult::degraded_partitions: one bad partition out of hundreds
 /// should cost accuracy there, not the run.
 struct HybridOptions {
-  /// Options for the per-partition DPCopula runs. `epsilon`,
-  /// `num_synthetic_rows` and `allow_degraded_correlation` inside are
-  /// ignored — the hybrid supplies (1 - kPartitionCountFraction) * epsilon,
-  /// the noisy counts and the degradation policy above.
+  /// Options for the per-partition DPCopula fits. `epsilon`,
+  /// `num_synthetic_rows`, `num_threads` and `allow_degraded_correlation`
+  /// inside are ignored — the hybrid supplies
+  /// (1 - kPartitionCountFraction) * epsilon, the noisy counts, its own
+  /// thread count and the degradation policy above.
   /// `oversample_factor` applies per partition: a partition with noisy
   /// count n emits llround(n * oversample_factor) rows, every column of
   /// them, in the contingency case (no large-domain attribute) too.
@@ -51,14 +52,13 @@ struct HybridOptions {
   /// Total privacy budget of the hybrid release.
   double epsilon = 1.0;
 
-  /// Worker threads (shared ThreadPool) for the per-partition DPCopula
-  /// runs. Each partition's noise draws come from an RNG pre-split in
-  /// partition order, and each partition writes its own block of the
-  /// output, blocks in that same order, so the release is bit-identical
-  /// for any thread count. Inner synthesis calls running on pool workers
-  /// execute their own loops inline (no nested oversubscription), so one
-  /// large partition runs single-threaded. 0 = hardware concurrency,
-  /// <= 1 = sequential.
+  /// Worker threads (shared ThreadPool) for the whole release: the
+  /// partitions run on the pool, and each partition's fit and sampling
+  /// loops fan out to idle workers through the same queue. Each
+  /// partition's draws come from an RNG pre-split in partition order, and
+  /// each partition samples straight into its own block of the output,
+  /// blocks in that same order, so the release is bit-identical for any
+  /// thread count. 0 = hardware concurrency, <= 1 = sequential.
   int num_threads = 1;
 };
 
@@ -79,14 +79,15 @@ struct HybridResult {
   dp::BudgetAccountant budget{0.0};
 };
 
-/// Runs Algorithm 6. If the table has no small-domain attributes this
-/// degrades to plain DPCopula on the whole table (with the full budget); if
-/// it has only small-domain attributes it degrades to a noisy contingency
-/// table release. Output columns follow the input schema order; output rows
-/// come in one block per partition, in partition order (the last
-/// small-domain attribute varies fastest). A small-domain value outside its
-/// attribute's domain is OutOfRange before any budget is charged or the
-/// RNG is drawn.
+/// Runs Algorithm 6: each partition runs Fit, BuildSamplingPlan and
+/// SampleInto on its own stream. If the table has no small-domain
+/// attributes this degrades to plain DPCopula on the whole table (with the
+/// full budget); if it has only small-domain attributes it degrades to a
+/// noisy contingency table release. Output columns follow the input schema
+/// order; output rows come in one block per partition, in partition order
+/// (the last small-domain attribute varies fastest). A small-domain value
+/// outside its attribute's domain is OutOfRange before any budget is
+/// charged or the RNG is drawn.
 Result<HybridResult> SynthesizeHybrid(const data::Table& table,
                                       const HybridOptions& options, Rng* rng);
 

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -313,24 +316,74 @@ TEST(ParallelTest, ParallelForShardedIsThreadCountInvariant) {
   }
 }
 
-TEST(ParallelTest, NestedParallelForRunsInline) {
-  // A ParallelFor inside a pool task must not deadlock (workers never
-  // block on queued subtasks — nested loops run inline).
-  std::atomic<std::size_t> total{0};
+TEST(ParallelTest, NestedParallelForFinishesWithMoreTasksThanWorkers) {
+  // Three levels of nesting, with more outer tasks than the pool has
+  // workers: every worker can be blocked in a nested Run while that Run's
+  // helpers sit in the queue. Each caller claims the tasks nobody started,
+  // so the whole nest must finish.
+  const std::size_t outer = 2 * static_cast<std::size_t>(
+                                    ThreadPool::Global().num_workers()) +
+                            3;
+  std::vector<std::atomic<int>> visits(outer * 6 * 50);
+  for (auto& v : visits) v.store(0);
   ParallelFor(
-      0, 8, 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
+      0, outer, 1,
+      [&](std::size_t b0, std::size_t e0) {
+        for (std::size_t i = b0; i < e0; ++i) {
           ParallelFor(
-              0, 100, 10,
-              [&](std::size_t b, std::size_t e) {
-                total.fetch_add(e - b);
+              0, 6, 1,
+              [&](std::size_t b1, std::size_t e1) {
+                for (std::size_t j = b1; j < e1; ++j) {
+                  ParallelFor(
+                      0, 50, 7,
+                      [&](std::size_t b2, std::size_t e2) {
+                        for (std::size_t k = b2; k < e2; ++k) {
+                          visits[(i * 6 + j) * 50 + k].fetch_add(1);
+                        }
+                      },
+                      0);
+                }
               },
-              8);
+              0);
         }
       },
-      8);
-  EXPECT_EQ(total.load(), 800u);
+      0);
+  for (std::size_t i = 0; i < visits.size(); ++i) {
+    ASSERT_EQ(visits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelTest, NestedParallelForFansOutToIdleWorkers) {
+  // A loop started from inside a pool task runs on more than one thread
+  // when workers are idle: here the one outer task leaves all but one
+  // thread free. Each inner shard waits (boundedly) for another thread to
+  // join, so a run on two threads is seen even on a loaded host.
+  if (ThreadPool::Global().num_workers() < 3) {
+    GTEST_SKIP() << "needs a pool of at least 3 workers";
+  }
+  std::mutex mu;
+  std::set<std::thread::id> inner_threads;
+  std::atomic<int> running{0};
+  ThreadPool::Global().Run(2, 2, [&](std::size_t task) {
+    if (task != 0) return;  // Task 1 frees its thread straight away.
+    ParallelFor(
+        0, 8, 1,
+        [&](std::size_t, std::size_t) {
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            inner_threads.insert(std::this_thread::get_id());
+          }
+          running.fetch_add(1);
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(5);
+          while (running.load() < 2 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+        },
+        4);
+  });
+  EXPECT_GE(inner_threads.size(), 2u);
 }
 
 TEST(ParallelTest, EmptyAndSingleRangesWork) {

@@ -825,6 +825,32 @@ TEST(HybridTest, MatchesCopyFilterConcatReference) {
               0);
   }
   {
+    // The largest of the 8 partitions holds about 40% of the rows, so its
+    // plan samples two or more shards into its block, and at 4 threads its
+    // fit and sampling loops fan out from inside a pool task.
+    SCOPED_TRACE("24,000 rows: partitions sample several shards");
+    Rng big_rng(246);
+    auto big = data::GenerateBrazilCensus(24000, &big_rng);
+    ASSERT_TRUE(big.ok());
+    const HybridResult ref = ExpectMatchesReference(*big, opts, 22);
+    std::map<std::vector<double>, std::size_t> block_rows;
+    for (std::size_t r = 0; r < ref.synthetic.num_rows(); ++r) {
+      ++block_rows[{ref.synthetic.column(1)[r], ref.synthetic.column(2)[r],
+                    ref.synthetic.column(3)[r]}];
+    }
+    std::size_t largest = 0;
+    for (const auto& [combo, rows] : block_rows) {
+      largest = std::max(largest, rows);
+    }
+    EXPECT_GT(largest, copula::kSamplerShardRows);
+    SCOPED_TRACE("inner student-t, dof 5");
+    HybridOptions student_t = opts;
+    student_t.inner.family = CopulaFamily::kStudentT;
+    student_t.inner.t_dof = 5.0;
+    ExpectMatchesReference(*big, student_t, 23);
+    ExpectMatchesReference(*census, student_t, 24);
+  }
+  {
     SCOPED_TRACE("core.correlation_estimate armed 1in2");
     ASSERT_TRUE(failpoint::Registry::Global()
                     .Arm("core.correlation_estimate", "1in2")

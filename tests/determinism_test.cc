@@ -225,9 +225,8 @@ TEST(DeterminismTest, HybridIsThreadCountInvariant) {
   ASSERT_TRUE(base.ok());
   for (int threads : kThreadCounts) {
     opts.num_threads = threads;
-    // Nested parallelism: the inner DPCopula runs also request threads;
-    // pool workers execute them inline, and the output must not change.
-    opts.inner.num_threads = threads;
+    // Nested parallelism: each partition's fit and sampling loops fan out
+    // to idle pool workers, and the output must not change.
     Rng rn(222);
     auto res = core::SynthesizeHybrid(*t, opts, &rn);
     ASSERT_TRUE(res.ok());

@@ -2,12 +2,15 @@
 // must be bit-identical across thread counts and across calls on one shared
 // plan, statistically indistinguishable from the sequential scalar oracle in
 // tests/reference/ (partial tiles included), prefix-stable over its full
-// tiles, and the guide-table inversion must never emit a zero-mass value.
+// tiles, and write the same bytes into a caller's block as into its own
+// table; the guide-table inversion must never emit a zero-mass value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -381,6 +384,69 @@ TEST(SamplerKernelTest, FullTilesArePrefixStable) {
                               prefix * sizeof(double)),
                   0)
             << "n " << n << " column " << j;
+      }
+    }
+  }
+}
+
+TEST(SamplerKernelTest, SampleIntoWritesSampleBytesIntoItsBlockOnly) {
+  // A hybrid partition samples straight into its block of the release. On
+  // a block of a larger zeroed table, SampleInto must write exactly
+  // Sample's bytes, leave every other cell at zero and leave the RNG where
+  // Sample leaves it. 9,001 rows are three shards and a partial tile.
+  constexpr std::size_t kRows = 2 * kSamplerShardRows + 809;
+  constexpr std::size_t kPad = 300;  // Rows before and after the block.
+  const std::size_t m = 3;
+  const auto fx = MakeFixture(m, 24, 0.3);
+  Rng grid_rng(5);
+  std::vector<std::vector<double>> pseudo(m, std::vector<double>(500));
+  for (auto& col : pseudo) {
+    for (double& u : col) u = grid_rng.NextDoubleOpen();
+  }
+  const auto grid = EmpiricalCopula::Fit(pseudo, 4);
+  ASSERT_TRUE(grid.ok());
+  const auto gaussian = SamplingPlan::Gaussian(fx.schema, fx.cdfs, fx.corr);
+  const auto student_t =
+      SamplingPlan::StudentT(fx.schema, fx.cdfs, fx.corr, 6.0);
+  const auto empirical = SamplingPlan::Empirical(
+      fx.schema, fx.cdfs, std::make_shared<const EmpiricalCopula>(*grid));
+  ASSERT_TRUE(gaussian.ok() && student_t.ok() && empirical.ok());
+  // The block is columns 1..m of a table with one more column in front.
+  std::vector<data::Attribute> wide_attrs = {{"front", 5}};
+  for (std::size_t j = 0; j < m; ++j) {
+    wide_attrs.push_back(fx.schema.attribute(j));
+  }
+  const data::Schema wide(wide_attrs);
+  const char* const names[] = {"gaussian", "t", "empirical"};
+  const SamplingPlan* const plans[] = {&*gaussian, &*student_t, &*empirical};
+  for (std::size_t f = 0; f < 3; ++f) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(names[f]) + " threads " +
+                   std::to_string(threads));
+      Rng sample_rng(31);
+      const auto want = plans[f]->Sample(kRows, &sample_rng, threads);
+      ASSERT_TRUE(want.ok());
+      data::Table got = data::Table::Zeros(wide, kRows + 2 * kPad);
+      std::vector<double*> block(m);
+      for (std::size_t j = 0; j < m; ++j) {
+        block[j] = got.mutable_column(j + 1).data() + kPad;
+      }
+      Rng into_rng(31);
+      ASSERT_TRUE(
+          plans[f]->SampleInto(kRows, &into_rng, threads, block.data()).ok());
+      EXPECT_EQ(into_rng.NextUint64(), sample_rng.NextUint64());
+      for (std::size_t j = 0; j < m; ++j) {
+        EXPECT_EQ(std::memcmp(block[j], want->column(j).data(),
+                              kRows * sizeof(double)),
+                  0)
+            << "column " << j;
+      }
+      for (std::size_t c = 0; c <= m; ++c) {
+        const std::vector<double>& col = got.column(c);
+        for (std::size_t r = 0; r < col.size(); ++r) {
+          if (c > 0 && r >= kPad && r < kPad + kRows) continue;
+          ASSERT_EQ(col[r], 0.0) << "column " << c << " row " << r;
+        }
       }
     }
   }

@@ -40,7 +40,6 @@
 //
 // takes only --rows (default: the model's fitted rows), --seed, --threads
 // and the obs flags; any flag that shapes a release from --input exits 2.
-// Sampling from a model runs single-threaded, so --threads changes nothing.
 #include <cstdio>
 #include <string>
 
@@ -220,7 +219,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     Rng rng(args.seed);
-    auto sample = core::SampleFromModel(*model, args.rows, &rng);
+    const std::size_t rows = args.rows > 0 ? args.rows : model->fitted_rows;
+    auto plan = core::BuildSamplingPlan(*model);
+    auto sample = plan.ok() ? plan->Sample(rows, &rng, args.threads)
+                            : Result<data::Table>(plan.status());
     if (!sample.ok()) {
       std::fprintf(stderr, "sampling failed: %s\n",
                    sample.status().ToString().c_str());
