@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "copula/t_copula.h"
+#include "copula/sampler.h"
 #include "core/dpcopula.h"
 #include "data/census.h"
 #include "query/metrics.h"
@@ -190,35 +190,22 @@ void AblationFamily(const query::ExperimentConfig& cfg, Rng* master) {
       "\n[E] copula family on tail-dependent data (2D t(3) dependence, "
       "eps=2): joint-tail count error\n");
   bench::PrintSeriesHeader("family", {"tail RE", "overall RE"});
-  // Data with genuine tail dependence: uniforms from a t(3) copula mapped
-  // through gaussian-bump margins.
+  // Data with genuine tail dependence: a t(3) copula sampled through
+  // gaussian-bump margins.
   Rng data_rng = master->Split();
-  auto corr = data::Equicorrelation(2, 0.6);
-  auto tcop = copula::TCopula::Create(*corr, 3.0);
   const std::int64_t domain = 500;
-  data::Table table =
-      data::Table::Zeros(data::Schema({{"a", domain}, {"b", domain}}),
-                         static_cast<std::size_t>(cfg.num_tuples));
-  {
-    std::vector<double> cum(static_cast<std::size_t>(domain));
-    double acc = 0.0;
-    for (std::size_t v = 0; v < cum.size(); ++v) {
-      const double z = (static_cast<double>(v) - 250.0) / 80.0;
-      acc += std::exp(-0.5 * z * z);
-      cum[v] = acc;
-    }
-    for (double& v : cum) v /= acc;
-    for (std::size_t r = 0; r < table.num_rows(); ++r) {
-      const auto u = tcop->SampleUniforms(&data_rng);
-      for (std::size_t j = 0; j < 2; ++j) {
-        const auto it = std::lower_bound(cum.begin(), cum.end(), u[j]);
-        table.set(r, j,
-                  static_cast<double>(it == cum.end()
-                                          ? domain - 1
-                                          : it - cum.begin()));
-      }
-    }
+  const data::Schema schema({{"a", domain}, {"b", domain}});
+  std::vector<double> bump(static_cast<std::size_t>(domain));
+  for (std::size_t v = 0; v < bump.size(); ++v) {
+    const double z = (static_cast<double>(v) - 250.0) / 80.0;
+    bump[v] = std::exp(-0.5 * z * z);
   }
+  const std::vector<stats::EmpiricalCdf> margins(
+      2, *stats::EmpiricalCdf::FromCounts(bump));
+  auto plan = copula::SamplingPlan::StudentT(
+      schema, margins, *data::Equicorrelation(2, 0.6), 3.0);
+  const data::Table table =
+      *plan->Sample(static_cast<std::size_t>(cfg.num_tuples), &data_rng);
   // Tail workload: deep joint upper-corner boxes (2-3 sigma of the margin
   // bump), where the Gaussian copula's zero tail dependence shows.
   std::vector<query::RangeQuery> tail;

@@ -1,8 +1,8 @@
 // Google-benchmark micro suite for the numeric primitives underlying
 // DPCopula: Kendall's tau (the O(n log n) claim of §4.2), normal inverse
 // CDF, Cholesky, multivariate-normal sampling, the Haar/DCT transforms,
-// the EFPA marginal publisher, and the CSV codec with serve's SAMPLE
-// renderer.
+// the EFPA marginal publisher, the copula-family votes' likelihood table,
+// and the CSV codec with serve's SAMPLE renderer.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -11,9 +11,10 @@
 #include <string>
 
 #include "common/rng.h"
+#include "copula/family_vote.h"
 #include "copula/kendall_estimator.h"
+#include "copula/pseudo_obs.h"
 #include "copula/sampler.h"
-#include "copula/t_copula.h"
 #include "data/census.h"
 #include "data/csv.h"
 #include "data/generator.h"
@@ -82,29 +83,6 @@ void BM_NormalInverseCdfBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_NormalInverseCdfBatch)
-    ->Args({4096, 0})
-    ->Args({4096, 1})
-    ->ArgNames({"n", "simd"});
-
-void BM_NormalCdfBatch(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const bool batched = state.range(1) != 0;
-  Rng rng(7);
-  std::vector<double> x(n), out(n);
-  for (double& v : x) v = 8.0 * (rng.NextDouble() - 0.5);
-  for (auto _ : state) {
-    if (batched) {
-      dpcopula::stats::NormalCdfBatch(x.data(), out.data(), n);
-    } else {
-      dpcopula::stats::internal::NormalCdfBatchScalar(x.data(), out.data(),
-                                                      n);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_NormalCdfBatch)
     ->Args({4096, 0})
     ->Args({4096, 1})
     ->ArgNames({"n", "simd"});
@@ -207,17 +185,19 @@ void BM_StudentTInverseCdf(benchmark::State& state) {
 }
 BENCHMARK(BM_StudentTInverseCdf);
 
-void BM_TCopulaLogDensity(benchmark::State& state) {
-  auto corr = dpcopula::data::Ar1Correlation(8, 0.5);
-  auto copula = dpcopula::copula::TCopula::Create(corr, 4.0);
+// The family votes' likelihood table on a discrete census-shaped table:
+// 10,000 Brazil-census rows (8 columns, 3 binary), 10 vote blocks.
+void BM_FamilyLikelihoodTable(benchmark::State& state) {
   Rng rng(29);
-  std::vector<double> u(8);
-  for (double& v : u) v = rng.NextDoubleOpen();
+  auto table = dpcopula::data::GenerateBrazilCensus(10000, &rng);
+  auto pseudo = dpcopula::copula::PseudoObservations(*table);
+  const auto corr = dpcopula::data::Ar1Correlation(8, 0.5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(copula->LogDensity(u));
+    benchmark::DoNotOptimize(
+        dpcopula::copula::FamilyLikelihoodTable(*pseudo, corr, 10));
   }
 }
-BENCHMARK(BM_TCopulaLogDensity);
+BENCHMARK(BM_FamilyLikelihoodTable)->Unit(benchmark::kMillisecond);
 
 void BM_KendallEstimatorThreads(benchmark::State& state) {
   Rng data_rng(31);

@@ -79,23 +79,6 @@ class AdaptiveGrid : public RangeCountEstimator {
   std::vector<Region> regions_;
 };
 
-/// RangeCountEstimator adapter for UniformGrid (kept separate so UG can be
-/// embedded in AG without virtual overhead).
-class UniformGridEstimator : public RangeCountEstimator {
- public:
-  explicit UniformGridEstimator(std::unique_ptr<UniformGrid> grid)
-      : grid_(std::move(grid)) {}
-  double EstimateRangeCount(const std::vector<std::int64_t>& lo,
-                            const std::vector<std::int64_t>& hi) const override {
-    return grid_->EstimateRangeCount(lo, hi);
-  }
-  std::string name() const override { return "UG"; }
-  const UniformGrid& grid() const { return *grid_; }
-
- private:
-  std::unique_ptr<UniformGrid> grid_;
-};
-
 }  // namespace dpcopula::baselines
 
 #endif  // DPCOPULA_BASELINES_GRIDS_H_

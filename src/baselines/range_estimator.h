@@ -8,7 +8,6 @@
 
 #include "data/table.h"
 #include "hist/histogram.h"
-#include "hist/summed_area.h"
 
 namespace dpcopula::baselines {
 
@@ -90,35 +89,6 @@ class HistogramEstimator : public RangeCountEstimator {
 
  private:
   hist::Histogram histogram_;
-  std::string name_;
-};
-
-/// Adapter: answers from a summed-area table built over a (noisy) dense
-/// histogram — O(2^m) per query instead of O(|range|) cell visits. Use for
-/// large dense-histogram releases under heavy query volume.
-class SummedAreaEstimator : public RangeCountEstimator {
- public:
-  /// Builds the prefix-sum structure eagerly from `histogram`.
-  static Result<std::unique_ptr<SummedAreaEstimator>> Create(
-      const hist::Histogram& histogram, std::string name) {
-    auto table = hist::SummedAreaTable::Build(histogram);
-    if (!table.ok()) return table.status();
-    return std::unique_ptr<SummedAreaEstimator>(new SummedAreaEstimator(
-        std::move(table).ValueOrDie(), std::move(name)));
-  }
-
-  double EstimateRangeCount(const std::vector<std::int64_t>& lo,
-                            const std::vector<std::int64_t>& hi) const override {
-    return table_.RangeSum(lo, hi);
-  }
-
-  std::string name() const override { return name_; }
-
- private:
-  SummedAreaEstimator(hist::SummedAreaTable table, std::string name)
-      : table_(std::move(table)), name_(std::move(name)) {}
-
-  hist::SummedAreaTable table_;
   std::string name_;
 };
 

@@ -140,11 +140,6 @@ void Registry::DisarmAll() {
   }
 }
 
-std::uint64_t Registry::FiredCount(const std::string& name) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->GetLocked(name)->fired_count();
-}
-
 std::vector<std::string> Registry::ArmedSites() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   std::vector<std::string> armed;

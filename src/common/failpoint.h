@@ -138,7 +138,6 @@ class Registry {
   /// Disarms every site and zeroes all hit/fired counters.
   void DisarmAll();
 
-  std::uint64_t FiredCount(const std::string& name);
   std::vector<std::string> ArmedSites() const;
 
   /// Parses DPCOPULA_FAILPOINTS ("site=spec[,site=spec...]", ';' also

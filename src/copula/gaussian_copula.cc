@@ -4,81 +4,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-
-#include "linalg/cholesky.h"
-#include "stats/normal.h"
+#include <vector>
 
 namespace dpcopula::copula {
-
-Result<GaussianCopula> GaussianCopula::Create(
-    const linalg::Matrix& correlation) {
-  if (correlation.rows() != correlation.cols() || correlation.rows() == 0) {
-    return Status::InvalidArgument("correlation matrix must be square");
-  }
-  for (std::size_t i = 0; i < correlation.rows(); ++i) {
-    if (std::fabs(correlation(i, i) - 1.0) > 1e-8) {
-      return Status::InvalidArgument(
-          "correlation matrix must have unit diagonal");
-    }
-  }
-  GaussianCopula c;
-  c.correlation_ = correlation;
-  DPC_ASSIGN_OR_RETURN(c.cholesky_, linalg::CholeskyDecompose(correlation));
-  DPC_ASSIGN_OR_RETURN(c.precision_, linalg::CholeskyInverse(c.cholesky_));
-  c.log_det_ = linalg::CholeskyLogDet(c.cholesky_);
-  return c;
-}
-
-double GaussianCopula::LogDensityFromScores(
-    const std::vector<double>& z) const {
-  const std::size_t m = dims();
-  // z^T (P^{-1} - I) z.
-  double quad = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    double row = 0.0;
-    for (std::size_t j = 0; j < m; ++j) row += precision_(i, j) * z[j];
-    quad += z[i] * (row - z[i]);
-  }
-  return -0.5 * log_det_ - 0.5 * quad;
-}
-
-Result<double> GaussianCopula::LogDensity(const std::vector<double>& u) const {
-  if (u.size() != dims()) {
-    return Status::InvalidArgument("LogDensity: dimension mismatch");
-  }
-  std::vector<double> z(u.size());
-  for (std::size_t j = 0; j < u.size(); ++j) {
-    if (!(u[j] > 0.0 && u[j] < 1.0)) {
-      return Status::OutOfRange("pseudo-observation outside (0, 1)");
-    }
-    z[j] = stats::NormalInverseCdf(u[j]);
-  }
-  return LogDensityFromScores(z);
-}
-
-Result<double> GaussianCopula::LogLikelihood(
-    const std::vector<std::vector<double>>& pseudo) const {
-  if (pseudo.size() != dims()) {
-    return Status::InvalidArgument("LogLikelihood: dimension mismatch");
-  }
-  const std::size_t n = pseudo.empty() ? 0 : pseudo[0].size();
-  std::vector<double> u(dims());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < dims(); ++j) u[j] = pseudo[j][i];
-    DPC_ASSIGN_OR_RETURN(double ld, LogDensity(u));
-    acc += ld;
-  }
-  return acc;
-}
-
-Result<double> GaussianCopula::Aic(
-    const std::vector<std::vector<double>>& pseudo) const {
-  DPC_ASSIGN_OR_RETURN(double ll, LogLikelihood(pseudo));
-  const double m = static_cast<double>(dims());
-  const double num_params = m * (m - 1.0) / 2.0;
-  return 2.0 * num_params - 2.0 * ll;
-}
 
 namespace {
 

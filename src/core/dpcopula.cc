@@ -4,9 +4,10 @@
 
 #include "common/failpoint.h"
 #include "copula/empirical_copula.h"
+#include "copula/family_vote.h"
 #include "copula/pseudo_obs.h"
 #include "copula/sampler.h"
-#include "copula/t_copula.h"
+#include "dp/mechanisms.h"
 #include "hist/histogram.h"
 #include "marginals/postprocess.h"
 #include "obs/log.h"
@@ -289,36 +290,35 @@ Result<SynthesisResult> Fit(const data::Table& table,
       model.family = CopulaFamily::kStudentT;
       model.t_dof = options.t_dof;
     } else if (family_vote_possible) {
+      // kAutoAic splits eps_family between the family vote and the dof
+      // vote; both count over one likelihood table, which draws nothing.
+      const bool auto_aic = options.family == CopulaFamily::kAutoAic;
+      const double eps_vote = auto_aic ? eps_family / 2.0 : eps_family;
       DPC_ASSIGN_OR_RETURN(auto pseudo, copula::PseudoObservations(table));
-      if (options.family == CopulaFamily::kStudentT) {
-        DPC_RETURN_NOT_OK(result.budget.Charge(eps_family, "family:t-dof",
+      DPC_RETURN_NOT_OK(result.budget.Charge(
+          eps_vote, auto_aic ? "family:aic-vote" : "family:t-dof",
+          /*sensitivity=*/1.0));
+      DPC_ASSIGN_OR_RETURN(
+          const copula::FamilyLikelihoods likelihoods,
+          copula::FamilyLikelihoodTable(pseudo, model.correlation,
+                                        kFamilyVotePartitions));
+      bool t_wins = true;
+      if (auto_aic) {
+        DPC_ASSIGN_OR_RETURN(
+            const std::size_t pick,
+            dp::ExponentialMechanism(rng, likelihoods.FamilyVotes(),
+                                     eps_vote, /*sensitivity=*/1.0));
+        t_wins = pick == 1;
+        DPC_RETURN_NOT_OK(result.budget.Charge(eps_vote, "family:t-dof",
                                                /*sensitivity=*/1.0));
+      }
+      if (t_wins) {
         DPC_ASSIGN_OR_RETURN(
-            model.t_dof,
-            copula::EstimateTCopulaDofPrivate(pseudo, model.correlation,
-                                              eps_family, rng,
-                                              kFamilyVotePartitions));
+            const std::size_t pick,
+            dp::ExponentialMechanism(rng, likelihoods.DofVotes(), eps_vote,
+                                     /*sensitivity=*/1.0));
+        model.t_dof = copula::kTDofGrid[pick];
         model.family = CopulaFamily::kStudentT;
-      } else {  // kAutoAic.
-        DPC_RETURN_NOT_OK(
-            result.budget.Charge(eps_family / 2.0, "family:aic-vote",
-                                 /*sensitivity=*/1.0));
-        DPC_ASSIGN_OR_RETURN(
-            bool t_wins,
-            copula::TCopulaFitsBetterPrivate(pseudo, model.correlation,
-                                             eps_family / 2.0, rng,
-                                             kFamilyVotePartitions));
-        DPC_RETURN_NOT_OK(
-            result.budget.Charge(eps_family / 2.0, "family:t-dof",
-                                 /*sensitivity=*/1.0));
-        if (t_wins) {
-          DPC_ASSIGN_OR_RETURN(
-              model.t_dof,
-              copula::EstimateTCopulaDofPrivate(pseudo, model.correlation,
-                                                eps_family / 2.0, rng,
-                                                kFamilyVotePartitions));
-          model.family = CopulaFamily::kStudentT;
-        }
       }
     }
   }

@@ -15,17 +15,17 @@ namespace dpcopula::dp {
 /// charge fails with PrivacyBudgetExceeded, turning accounting mistakes into
 /// loud errors instead of silent privacy leaks.
 ///
-/// Parallel composition (Theorem 3.2) is modeled by creating one child
-/// accountant per disjoint partition via `SplitParallel`: the children share
-/// the parent's allowance, and the parent records only the maximum spent by
-/// any child.
+/// Parallel composition (Theorem 3.2) is the caller's to apply: a
+/// mechanism that runs once on each of several disjoint partitions charges
+/// its epsilon once, through `ChargeParallel`, which logs the charge as
+/// parallel.
 ///
 /// Thread safety: Charge/ChargeParallel are atomic check-and-spend
 /// operations guarded by an internal mutex, so concurrent chargers can never
 /// both pass the admission check and jointly overspend `total_` — the
 /// serving path charges one shared per-tenant accountant from many request
 /// threads. spent()/remaining()/AnnotateLastChargeSensitivity take the same
-/// lock. entries()/Entries() return a reference to the charge log and are
+/// lock. entries() returns a reference to the charge log and is
 /// safe only once concurrent charging has quiesced (reports and audits run
 /// after workers join).
 class BudgetAccountant {
@@ -70,10 +70,6 @@ class BudgetAccountant {
     double sensitivity = 0.0; // L1 sensitivity; 0 = not recorded.
   };
   const std::vector<Entry>& entries() const { return entries_; }
-
-  /// Audit-facing alias for the charge log: one (mechanism, epsilon,
-  /// sensitivity) record per mechanism invocation, in charge order.
-  const std::vector<Entry>& Entries() const { return entries_; }
 
  private:
   Status ChargeLocked(double epsilon, bool parallel, const std::string& what,

@@ -53,20 +53,6 @@ MethodMetrics& MetricsFor(MarginalMethod method) {
 
 }  // namespace
 
-const char* MarginalMethodName(MarginalMethod method) {
-  switch (method) {
-    case MarginalMethod::kEfpa:
-      return "efpa";
-    case MarginalMethod::kDwork:
-      return "dwork";
-    case MarginalMethod::kNoiseFirst:
-      return "noisefirst";
-    case MarginalMethod::kStructureFirst:
-      return "structurefirst";
-  }
-  return "unknown";
-}
-
 Result<std::vector<double>> PublishMarginal(MarginalMethod method,
                                             const std::vector<double>& counts,
                                             double epsilon, Rng* rng) {

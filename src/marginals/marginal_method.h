@@ -18,10 +18,6 @@ enum class MarginalMethod {
   kStructureFirst,
 };
 
-/// Lower-case method name ("efpa", "dwork", ...), used for metric names and
-/// CLI diagnostics.
-const char* MarginalMethodName(MarginalMethod method);
-
 /// Publishes `counts` with `epsilon`-DP using the selected method.
 Result<std::vector<double>> PublishMarginal(MarginalMethod method,
                                             const std::vector<double>& counts,

@@ -54,16 +54,6 @@ void SetObsConfig(const ObsConfig& config) {
   internal::g_trace_enabled.store(config.trace, std::memory_order_relaxed);
 }
 
-ObsConfig GetObsConfig() {
-  ObsConfig config;
-  config.log_level = static_cast<LogLevel>(
-      internal::g_log_level.load(std::memory_order_relaxed));
-  config.metrics =
-      internal::g_metrics_enabled.load(std::memory_order_relaxed);
-  config.trace = internal::g_trace_enabled.load(std::memory_order_relaxed);
-  return config;
-}
-
 namespace {
 
 // True when the value can go on the line bare (logfmt convention: quote

@@ -43,9 +43,6 @@ struct ObsConfig {
 /// brief mixed state, the data release never depends on it).
 void SetObsConfig(const ObsConfig& config);
 
-/// The currently installed configuration.
-ObsConfig GetObsConfig();
-
 namespace internal {
 extern std::atomic<int> g_log_level;
 extern std::atomic<bool> g_metrics_enabled;

@@ -36,17 +36,6 @@ Result<double> MarginalTotalVariation(const data::Table& original,
   return 0.5 * tv;
 }
 
-Result<double> MeanMarginalTotalVariation(const data::Table& original,
-                                          const data::Table& synthetic) {
-  double total = 0.0;
-  for (std::size_t j = 0; j < original.num_columns(); ++j) {
-    DPC_ASSIGN_OR_RETURN(double tv,
-                         MarginalTotalVariation(original, synthetic, j));
-    total += tv;
-  }
-  return total / static_cast<double>(original.num_columns());
-}
-
 Result<linalg::Matrix> KendallMatrix(const data::Table& table) {
   const std::size_t m = table.num_columns();
   if (m == 0) return Status::InvalidArgument("fidelity: no columns");

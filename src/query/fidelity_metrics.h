@@ -21,10 +21,6 @@ Result<double> MarginalTotalVariation(const data::Table& original,
                                       const data::Table& synthetic,
                                       std::size_t col);
 
-/// Mean marginal TV distance across all columns.
-Result<double> MeanMarginalTotalVariation(const data::Table& original,
-                                          const data::Table& synthetic);
-
 /// Pairwise Kendall-tau matrix of a table (diagonal 1). Ranks each column
 /// once in O(n log n); each pair then runs stats::KendallTauFromRanks.
 Result<linalg::Matrix> KendallMatrix(const data::Table& table);

@@ -66,26 +66,12 @@ void NormalInverseCdfBatchScalar(const double* p, double* z, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) z[i] = NormalInverseCdf(p[i]);
 }
 
-void NormalCdfBatchScalar(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = NormalCdf(x[i]);
-}
-
-void NormalPdfBatchScalar(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = NormalPdf(x[i]);
-}
-
 #if !DPCOPULA_SIMD_COMPILED
 // The compiler does not take -mavx2, so the AVX2 translation unit is not
-// part of this build; keep the symbols defined (as scalar forwards) so tests
-// can reference them unconditionally.
+// part of this build; keep the symbol defined (as a scalar forward) so tests
+// can reference it unconditionally.
 void NormalInverseCdfBatchAvx2(const double* p, double* z, std::size_t n) {
   NormalInverseCdfBatchScalar(p, z, n);
-}
-void NormalCdfBatchAvx2(const double* x, double* out, std::size_t n) {
-  NormalCdfBatchScalar(x, out, n);
-}
-void NormalPdfBatchAvx2(const double* x, double* out, std::size_t n) {
-  NormalPdfBatchScalar(x, out, n);
 }
 #endif
 
@@ -106,22 +92,6 @@ void NormalInverseCdfBatch(const double* p, double* z, std::size_t n) {
     internal::NormalInverseCdfBatchAvx2(p, z, n);
   } else {
     internal::NormalInverseCdfBatchScalar(p, z, n);
-  }
-}
-
-void NormalCdfBatch(const double* x, double* out, std::size_t n) {
-  if (NormalBatchAvx2Active()) {
-    internal::NormalCdfBatchAvx2(x, out, n);
-  } else {
-    internal::NormalCdfBatchScalar(x, out, n);
-  }
-}
-
-void NormalPdfBatch(const double* x, double* out, std::size_t n) {
-  if (NormalBatchAvx2Active()) {
-    internal::NormalPdfBatchAvx2(x, out, n);
-  } else {
-    internal::NormalPdfBatchScalar(x, out, n);
   }
 }
 

@@ -17,44 +17,37 @@ double NormalCdf(double x);
 /// p = 1 / p = 0 and NaN outside [0, 1].
 double NormalInverseCdf(double p);
 
-/// Batch forms of the three functions above, shared by every hot path that
-/// evaluates Phi / Phi^{-1} over arrays (the sampler's InverseCdfTable
-/// z-edge construction, the batched MLE normal-score build, and the
-/// synthetic-data generator). Dispatch at runtime to an AVX2 kernel when
-/// the build compiled one (the compiler takes -mavx2) and the CPU supports
-/// AVX2; otherwise a scalar loop over the functions above runs. Both paths
-/// are bit-identical element for element — the vector kernel performs the
-/// same correctly-rounded IEEE operation sequence and defers to the scalar
-/// libm transcendentals lane by lane — so the dispatch can never change a
-/// released result.
+/// Batch form of NormalInverseCdf, behind both array-shaped Phi^{-1}
+/// evaluations: the sampler's InverseCdfTable z-edge construction and the
+/// batched MLE normal-score build. Dispatches at runtime to an AVX2 kernel
+/// when the build compiled one (the compiler takes -mavx2) and the CPU
+/// supports AVX2; otherwise a scalar loop over NormalInverseCdf runs. Both
+/// paths are bit-identical element for element — the vector kernel
+/// performs the same correctly-rounded IEEE operation sequence and defers
+/// to the scalar libm transcendentals lane by lane — so the dispatch can
+/// never change a released result.
 ///
-/// `in` and `out` may alias only if identical; n may be 0.
+/// `p` and `z` may alias only if identical; n may be 0.
 void NormalInverseCdfBatch(const double* p, double* z, std::size_t n);
-void NormalCdfBatch(const double* x, double* out, std::size_t n);
-void NormalPdfBatch(const double* x, double* out, std::size_t n);
 
-/// True when the AVX2 batch kernels were compiled into this binary.
+/// True when the AVX2 batch kernel was compiled into this binary.
 bool NormalBatchAvx2Compiled();
 
-/// True when the batch entry points above will actually dispatch to the
-/// AVX2 kernels at runtime (compiled in + CPU support).
+/// True when the batch entry point above will actually dispatch to the
+/// AVX2 kernel at runtime (compiled in + CPU support).
 bool NormalBatchAvx2Active();
 
 namespace internal {
 
-/// Scalar reference loops (exactly the batch fallback), exposed so tests
+/// Scalar reference loop (exactly the batch fallback), exposed so tests
 /// and microbenchmarks can pin the non-SIMD path regardless of dispatch.
 void NormalInverseCdfBatchScalar(const double* p, double* z, std::size_t n);
-void NormalCdfBatchScalar(const double* x, double* out, std::size_t n);
-void NormalPdfBatchScalar(const double* x, double* out, std::size_t n);
 
-/// AVX2 kernels. When the build did not compile them (the compiler has no
-/// -mavx2) these symbols are defined as forwards to the scalar loops, so
-/// tests may always reference them; NormalBatchAvx2Compiled() says which
+/// AVX2 kernel. When the build did not compile it (the compiler has no
+/// -mavx2) this symbol is defined as a forward to the scalar loop, so
+/// tests may always reference it; NormalBatchAvx2Compiled() says which
 /// implementation is behind the name.
 void NormalInverseCdfBatchAvx2(const double* p, double* z, std::size_t n);
-void NormalCdfBatchAvx2(const double* x, double* out, std::size_t n);
-void NormalPdfBatchAvx2(const double* x, double* out, std::size_t n);
 
 }  // namespace internal
 

@@ -1,4 +1,4 @@
-// AVX2 batch kernels for Phi / Phi^{-1} / phi. Compiled with -mavx2 (and
+// AVX2 batch kernel for Phi^{-1}. Compiled with -mavx2 (and
 // deliberately WITHOUT -mfma: a fused multiply-add rounds once where the
 // scalar code rounds twice, which would break the bit-identity contract).
 //
@@ -24,9 +24,6 @@
 namespace dpcopula::stats::internal {
 
 namespace {
-
-constexpr double kSqrt2 = 1.4142135623730951;
-constexpr double kInvSqrt2Pi = 0.3989422804014327;
 
 /// ((((c0*q + c1)*q + c2)*q + c3)*q + c4)*q + c5 — Acklam tail numerator,
 /// same Horner order as the scalar kernel.
@@ -136,39 +133,6 @@ void NormalInverseCdfBatchAvx2(const double* p, double* z, std::size_t n) {
     _mm256_storeu_pd(z + i, HalleyStep(x, vp));
   }
   for (; i < n; ++i) z[i] = NormalInverseCdf(p[i]);
-}
-
-void NormalCdfBatchAvx2(const double* x, double* out, std::size_t n) {
-  // 0.5 * erfc(-x / sqrt2): the division and scaling are vector ops; erfc
-  // itself goes through libm lane by lane (bit-identity with the scalar
-  // path requires its exact rounding).
-  const __m256d sqrt2 = _mm256_set1_pd(kSqrt2);
-  const __m256d half = _mm256_set1_pd(0.5);
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vx = _mm256_loadu_pd(x + i);
-    alignas(32) double t[4];
-    _mm256_store_pd(t, _mm256_div_pd(_mm256_xor_pd(vx, sign_mask), sqrt2));
-    for (int k = 0; k < 4; ++k) t[k] = std::erfc(t[k]);
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(half, _mm256_load_pd(t)));
-  }
-  for (; i < n; ++i) out[i] = NormalCdf(x[i]);
-}
-
-void NormalPdfBatchAvx2(const double* x, double* out, std::size_t n) {
-  // kInvSqrt2Pi * exp(-0.5 x^2), exp through libm lane by lane.
-  const __m256d mhalf = _mm256_set1_pd(-0.5);
-  const __m256d scale = _mm256_set1_pd(kInvSqrt2Pi);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vx = _mm256_loadu_pd(x + i);
-    alignas(32) double t[4];
-    _mm256_store_pd(t, _mm256_mul_pd(_mm256_mul_pd(mhalf, vx), vx));
-    for (int k = 0; k < 4; ++k) t[k] = std::exp(t[k]);
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(scale, _mm256_load_pd(t)));
-  }
-  for (; i < n; ++i) out[i] = NormalPdf(x[i]);
 }
 
 }  // namespace dpcopula::stats::internal

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "copula/family_vote.h"
 #include "copula/gaussian_copula.h"
 #include "copula/kendall_estimator.h"
 #include "copula/mle_estimator.h"
@@ -64,29 +65,44 @@ TEST(PseudoObsTest, NormalScoresFinite) {
   }
 }
 
+// `rows` copies of one point, column-major.
+std::vector<std::vector<double>> Repeat(const std::vector<double>& u,
+                                        std::size_t rows) {
+  std::vector<std::vector<double>> pseudo;
+  for (const double v : u) pseudo.emplace_back(rows, v);
+  return pseudo;
+}
+
+// The Gaussian log-likelihood of all of `pseudo` as one vote block.
+double GaussianLogLikelihood(const std::vector<std::vector<double>>& pseudo,
+                             const linalg::Matrix& corr) {
+  return FamilyLikelihoodTable(pseudo, corr, 1)->gaussian[0];
+}
+
 TEST(GaussianCopulaTest, IdentityCorrelationHasUnitDensity) {
-  auto c = GaussianCopula::Create(linalg::Matrix::Identity(3));
-  ASSERT_TRUE(c.ok());
-  auto ld = c->LogDensity({0.3, 0.5, 0.9});
-  ASSERT_TRUE(ld.ok());
-  EXPECT_NEAR(*ld, 0.0, 1e-12);  // c_I(u) == 1 everywhere.
+  auto table = FamilyLikelihoodTable(Repeat({0.3, 0.5, 0.9}, 4),
+                                     linalg::Matrix::Identity(3), 1);
+  ASSERT_TRUE(table.ok());
+  EXPECT_NEAR(table->gaussian[0], 0.0, 4e-12);  // c_I(u) == 1 everywhere.
 }
 
 TEST(GaussianCopulaTest, RejectsNonCorrelationInput) {
+  const auto pseudo = Repeat({0.3, 0.6}, 4);
   linalg::Matrix bad = linalg::Matrix::FromRows({{2.0, 0.0}, {0.0, 1.0}});
-  EXPECT_FALSE(GaussianCopula::Create(bad).ok());
+  EXPECT_FALSE(FamilyLikelihoodTable(pseudo, bad, 1).ok());
   linalg::Matrix indef =
       linalg::Matrix::FromRows({{1.0, 2.0}, {2.0, 1.0}});
-  EXPECT_FALSE(GaussianCopula::Create(indef).ok());
+  EXPECT_FALSE(FamilyLikelihoodTable(pseudo, indef, 1).ok());
 }
 
 TEST(GaussianCopulaTest, DensityFavorsConcordantPointsUnderPositiveRho) {
-  auto corr = data::Equicorrelation(2, 0.8);
-  auto c = GaussianCopula::Create(*corr);
-  ASSERT_TRUE(c.ok());
-  const double concordant = *c->LogDensity({0.9, 0.9});
-  const double discordant = *c->LogDensity({0.9, 0.1});
-  EXPECT_GT(concordant, discordant);
+  // Block 0 holds the concordant point, block 1 the discordant one.
+  std::vector<std::vector<double>> pseudo = {
+      {0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9},
+      {0.9, 0.9, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1}};
+  auto table = FamilyLikelihoodTable(pseudo, *data::Equicorrelation(2, 0.8), 2);
+  ASSERT_TRUE(table.ok());
+  EXPECT_GT(table->gaussian[0], table->gaussian[1]);
 }
 
 TEST(GaussianCopulaTest, LogLikelihoodPeaksNearTrueCorrelation) {
@@ -96,10 +112,8 @@ TEST(GaussianCopulaTest, LogLikelihoodPeaksNearTrueCorrelation) {
   ASSERT_TRUE(pseudo.ok());
   double best_rho = -2.0, best_ll = -1e300;
   for (double rho = -0.8; rho <= 0.85; rho += 0.1) {
-    auto corr = data::Equicorrelation(2, rho);
-    auto c = GaussianCopula::Create(*corr);
-    ASSERT_TRUE(c.ok());
-    const double ll = *c->LogLikelihood(*pseudo);
+    const double ll =
+        GaussianLogLikelihood(*pseudo, *data::Equicorrelation(2, rho));
     if (ll > best_ll) {
       best_ll = ll;
       best_rho = rho;
@@ -113,9 +127,12 @@ TEST(GaussianCopulaTest, AicPrefersTrueModel) {
   data::Table t = CorrelatedTable(2000, 0.6, &rng);
   auto pseudo = PseudoObservations(t);
   ASSERT_TRUE(pseudo.ok());
-  auto good = GaussianCopula::Create(*data::Equicorrelation(2, 0.6));
-  auto bad = GaussianCopula::Create(*data::Equicorrelation(2, -0.6));
-  EXPECT_LT(*good->Aic(*pseudo), *bad->Aic(*pseudo));
+  // AIC = 2 C(m,2) - 2 loglik with C(2,2) = 1 correlation.
+  auto aic = [&](double rho) {
+    return 2.0 - 2.0 * GaussianLogLikelihood(*pseudo,
+                                             *data::Equicorrelation(2, rho));
+  };
+  EXPECT_LT(aic(0.6), aic(-0.6));
 }
 
 TEST(NormalScoresCorrelationTest, RecoversGeneratingCorrelation) {

@@ -217,22 +217,30 @@ TEST(DeterminismTest, HybridIsThreadCountInvariant) {
   Rng data_rng(12);
   auto t = data::GenerateUsCensus(3000, &data_rng);
   ASSERT_TRUE(t.ok());
-  core::HybridOptions opts;
-  opts.epsilon = 1.0;
-  opts.num_threads = 1;
-  Rng r1(222);
-  auto base = core::SynthesizeHybrid(*t, opts, &r1);
-  ASSERT_TRUE(base.ok());
-  for (int threads : kThreadCounts) {
-    opts.num_threads = threads;
-    // Nested parallelism: each partition's fit and sampling loops fan out
-    // to idle pool workers, and the output must not change.
-    Rng rn(222);
-    auto res = core::SynthesizeHybrid(*t, opts, &rn);
-    ASSERT_TRUE(res.ok());
-    EXPECT_TRUE(TablesEqual(base->synthetic, res->synthetic))
-        << "threads=" << threads;
-    EXPECT_EQ(base->num_skipped_partitions, res->num_skipped_partitions);
+  // kAutoAic runs the family votes in both gender partitions, side by side
+  // at more than one thread.
+  for (const core::CopulaFamily family :
+       {core::CopulaFamily::kGaussian, core::CopulaFamily::kAutoAic}) {
+    SCOPED_TRACE(family == core::CopulaFamily::kGaussian ? "gaussian"
+                                                          : "auto");
+    core::HybridOptions opts;
+    opts.epsilon = 1.0;
+    opts.inner.family = family;
+    opts.num_threads = 1;
+    Rng r1(222);
+    auto base = core::SynthesizeHybrid(*t, opts, &r1);
+    ASSERT_TRUE(base.ok());
+    for (int threads : kThreadCounts) {
+      opts.num_threads = threads;
+      // Nested parallelism: each partition's fit and sampling loops fan
+      // out to idle pool workers, and the output must not change.
+      Rng rn(222);
+      auto res = core::SynthesizeHybrid(*t, opts, &rn);
+      ASSERT_TRUE(res.ok());
+      EXPECT_TRUE(TablesEqual(base->synthetic, res->synthetic))
+          << "threads=" << threads;
+      EXPECT_EQ(base->num_skipped_partitions, res->num_skipped_partitions);
+    }
   }
 }
 

@@ -133,35 +133,6 @@ TEST(NormalBatchKernelTest, InverseCdfScalarMatchesAvx2Bitwise) {
   ExpectBitsEqual(scalar, dispatched);
 }
 
-TEST(NormalBatchKernelTest, CdfAndPdfScalarMatchAvx2Bitwise) {
-  std::vector<double> x;
-  for (int i = -800; i <= 800; ++i) x.push_back(i / 20.0);
-  x.push_back(std::numeric_limits<double>::infinity());
-  x.push_back(-std::numeric_limits<double>::infinity());
-  x.push_back(std::nan(""));
-  x.push_back(0.0);
-  x.push_back(-0.0);
-  Rng rng(11);
-  for (int i = 0; i < 3000; ++i) x.push_back(8.0 * (rng.NextDouble() - 0.5));
-
-  std::vector<double> scalar(x.size()), simd(x.size());
-  stats::internal::NormalCdfBatchScalar(x.data(), scalar.data(), x.size());
-  stats::internal::NormalCdfBatchAvx2(x.data(), simd.data(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double ref = stats::NormalCdf(x[i]);
-    EXPECT_EQ(std::memcmp(&scalar[i], &ref, sizeof(double)), 0) << x[i];
-  }
-  ExpectBitsEqual(scalar, simd);
-
-  stats::internal::NormalPdfBatchScalar(x.data(), scalar.data(), x.size());
-  stats::internal::NormalPdfBatchAvx2(x.data(), simd.data(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double ref = stats::NormalPdf(x[i]);
-    EXPECT_EQ(std::memcmp(&scalar[i], &ref, sizeof(double)), 0) << x[i];
-  }
-  ExpectBitsEqual(scalar, simd);
-}
-
 TEST(NormalBatchKernelTest, RaggedLengthsAndAliasing) {
   // Tail handling: every length mod 4, and in == out aliasing.
   Rng rng(5);

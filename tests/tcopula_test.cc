@@ -1,27 +1,36 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "copula/empirical_copula.h"
-#include "copula/gaussian_copula.h"
+#include "copula/family_vote.h"
 #include "copula/pseudo_obs.h"
 #include "copula/sampler.h"
-#include "copula/t_copula.h"
+#include "data/census.h"
 #include "data/generator.h"
+#include "dp/mechanisms.h"
+#include "linalg/cholesky.h"
+#include "reference/tcopula_reference.h"
 #include "stats/distributions.h"
 #include "stats/kendall.h"
+#include "stats/normal.h"
 
 namespace dpcopula::copula {
 namespace {
+
+constexpr std::size_t kNumDofs = kTDofGrid.size();
 
 // Column-major pseudo-observations sampled from a t copula with the given
 // correlation/dof.
 std::vector<std::vector<double>> SampleTPseudo(const linalg::Matrix& corr,
                                                double dof, std::size_t n,
                                                Rng* rng) {
-  auto c = TCopula::Create(corr, dof);
+  auto c = reference::TCopula::Create(corr, dof);
   std::vector<std::vector<double>> pseudo(corr.rows(),
                                           std::vector<double>(n));
   for (std::size_t i = 0; i < n; ++i) {
@@ -29,6 +38,39 @@ std::vector<std::vector<double>> SampleTPseudo(const linalg::Matrix& corr,
     for (std::size_t j = 0; j < corr.rows(); ++j) pseudo[j][i] = u[j];
   }
   return pseudo;
+}
+
+// Gaussian-copula uniforms: u = Phi(L z) for z ~ N(0, I).
+std::vector<std::vector<double>> SampleGaussianPseudo(
+    const linalg::Matrix& corr, std::size_t n, Rng* rng) {
+  const linalg::Matrix chol = *linalg::CholeskyDecompose(corr);
+  const std::size_t m = corr.rows();
+  std::vector<std::vector<double>> pseudo(m, std::vector<double>(n));
+  std::vector<double> z(m);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (double& v : z) v = rng->NextGaussian();
+    for (std::size_t a = 0; a < m; ++a) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k <= a; ++k) acc += chol(a, k) * z[k];
+      pseudo[a][i] = stats::NormalCdf(acc);
+    }
+  }
+  return pseudo;
+}
+
+// `rows` copies of one point, column-major.
+std::vector<std::vector<double>> Repeat(const std::vector<double>& u,
+                                        std::size_t rows) {
+  std::vector<std::vector<double>> pseudo;
+  for (const double v : u) pseudo.emplace_back(rows, v);
+  return pseudo;
+}
+
+std::size_t GridIndex(double dof) {
+  for (std::size_t g = 0; g < kNumDofs; ++g) {
+    if (kTDofGrid[g] == dof) return g;
+  }
+  return kNumDofs;
 }
 
 TEST(StudentTInverseTest, RoundTrip) {
@@ -113,33 +155,133 @@ TEST(ChiSquaredTest, MeanAndVariance) {
   EXPECT_NEAR(sum_sq / n - mean * mean, 2.0 * dof, 0.5);
 }
 
-TEST(TCopulaTest, CreateValidation) {
-  EXPECT_FALSE(TCopula::Create(linalg::Matrix::Identity(2), 0.0).ok());
-  linalg::Matrix bad = linalg::Matrix::FromRows({{2.0, 0.0}, {0.0, 1.0}});
-  EXPECT_FALSE(TCopula::Create(bad, 4.0).ok());
-  EXPECT_TRUE(TCopula::Create(linalg::Matrix::Identity(3), 4.0).ok());
-}
-
-TEST(TCopulaTest, DensityIntegratesToOneIn1D) {
-  // A 1-dimensional copula is the uniform: log density must be ~0.
-  auto c = TCopula::Create(linalg::Matrix::Identity(1), 4.0);
-  ASSERT_TRUE(c.ok());
-  for (double u : {0.1, 0.5, 0.9}) {
-    EXPECT_NEAR(*c->LogDensity({u}), 0.0, 1e-9) << u;
+// The table against the row-at-a-time oracle: every block's Gaussian and
+// t log-likelihoods are the oracle's per-chunk sums bit for bit, and both
+// vote vectors are the oracle's. 437 rows in 10 blocks leaves the last 7
+// rows out of every vote.
+TEST(FamilyTableTest, MatchesOracleBitwise) {
+  constexpr std::size_t kRows = 437;
+  constexpr std::size_t kBlocks = 10;
+  Rng census_rng(101);
+  const data::Table census = *data::GenerateBrazilCensus(kRows, &census_rng);
+  const auto census_pseudo = *PseudoObservations(census);
+  for (const std::size_t m : {2, 3, 5}) {
+    Rng rng(103 + m);
+    const linalg::Matrix equi = *data::Equicorrelation(m, 0.4);
+    struct Case {
+      const char* name;
+      std::vector<std::vector<double>> pseudo;
+      linalg::Matrix corr;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"t4", SampleTPseudo(equi, 4.0, kRows, &rng), equi});
+    cases.push_back({"t8", SampleTPseudo(equi, 8.0, kRows, &rng), equi});
+    cases.push_back(
+        {"gaussian", SampleGaussianPseudo(equi, kRows, &rng), equi});
+    // The first m of age, gender, disability, nativity and years: up to
+    // three binary columns, so heavy ties.
+    cases.push_back(
+        {"census",
+         std::vector<std::vector<double>>(
+             census_pseudo.begin(),
+             census_pseudo.begin() + static_cast<std::ptrdiff_t>(m)),
+         data::Ar1Correlation(m, 0.5)});
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " m=" + std::to_string(m));
+      const auto table = FamilyLikelihoodTable(c.pseudo, c.corr, kBlocks);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      ASSERT_EQ(table->num_blocks(), kBlocks);
+      const auto gaussian = reference::GaussianCopula::Create(c.corr);
+      ASSERT_TRUE(gaussian.ok());
+      const auto chunks = reference::SplitPseudo(c.pseudo, kBlocks);
+      for (std::size_t b = 0; b < kBlocks; ++b) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(table->gaussian[b]),
+                  std::bit_cast<std::uint64_t>(
+                      *gaussian->LogLikelihood(chunks[b])))
+            << "block " << b;
+        for (std::size_t g = 0; g < kNumDofs; ++g) {
+          const auto t = reference::TCopula::Create(c.corr, kTDofGrid[g]);
+          ASSERT_TRUE(t.ok());
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(table->t[b * kNumDofs + g]),
+                    std::bit_cast<std::uint64_t>(*t->LogLikelihood(chunks[b])))
+              << "block " << b << " dof " << kTDofGrid[g];
+        }
+      }
+      EXPECT_EQ(table->DofVotes(),
+                *reference::DofVotes(c.pseudo, c.corr, kBlocks));
+      EXPECT_EQ(table->FamilyVotes(),
+                *reference::FamilyVotes(c.pseudo, c.corr, kBlocks));
+    }
   }
 }
 
-TEST(TCopulaTest, ConvergesToGaussianForLargeDof) {
+// Whatever the oracle refuses, the table refuses with the same code; a bad
+// value in the rows no block reads passes both.
+TEST(FamilyTableTest, ValidatesLikeTheOracle) {
+  const std::vector<std::vector<double>> ok(2, std::vector<double>(43, 0.5));
+  const linalg::Matrix identity = linalg::Matrix::Identity(2);
+  auto with_cell = [&](std::size_t row, double v) {
+    auto pseudo = ok;
+    pseudo[1][row] = v;
+    return pseudo;
+  };
+  struct Case {
+    const char* name;
+    std::vector<std::vector<double>> pseudo;
+    linalg::Matrix corr;
+  };
+  const std::vector<Case> cases = {
+      {"too few rows", {std::vector<double>(39, 0.5),
+                        std::vector<double>(39, 0.5)}, identity},
+      {"no columns", {}, identity},
+      {"not square", ok, linalg::Matrix(2, 3)},
+      {"empty correlation", ok, linalg::Matrix()},
+      {"diagonal 2", ok, linalg::Matrix::FromRows({{2.0, 0.0}, {0.0, 1.0}})},
+      {"indefinite", ok, linalg::Matrix::FromRows({{1.0, 2.0}, {2.0, 1.0}})},
+      {"three columns", ok, linalg::Matrix::Identity(3)},
+      {"u = 0", with_cell(5, 0.0), identity},
+      {"u = 1", with_cell(39, 1.0), identity},
+      {"u = nan", with_cell(0, std::nan("")), identity},
+      {"u = 1 in a left-out row", with_cell(41, 1.0), identity},
+      {"valid", ok, identity},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(1);
+    const auto oracle =
+        reference::EstimateTCopulaDofPrivate(c.pseudo, c.corr, 1.0, &rng);
+    const auto table = FamilyLikelihoodTable(c.pseudo, c.corr, 10);
+    EXPECT_EQ(table.status().code(), oracle.status().code())
+        << table.status().ToString() << " vs " << oracle.status().ToString();
+  }
+  EXPECT_EQ(FamilyLikelihoodTable(ok, identity, 0).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// A 1-dimensional copula is the uniform: every log density is ~0.
+TEST(TCopulaTest, DensityIntegratesToOneIn1D) {
+  for (double u : {0.1, 0.5, 0.9}) {
+    auto table =
+        FamilyLikelihoodTable(Repeat({u}, 4), linalg::Matrix::Identity(1), 1);
+    ASSERT_TRUE(table.ok());
+    EXPECT_NEAR(table->gaussian[0], 0.0, 4e-9) << u;
+    for (std::size_t g = 0; g < kNumDofs; ++g) {
+      EXPECT_NEAR(table->t[g], 0.0, 4e-9) << u << " dof " << kTDofGrid[g];
+    }
+  }
+}
+
+TEST(TCopulaTest, ConvergesToGaussianAsDofGrows) {
   auto corr = data::Equicorrelation(2, 0.5);
-  auto t_large = TCopula::Create(*corr, 1e5);
-  auto gauss = GaussianCopula::Create(*corr);
-  ASSERT_TRUE(t_large.ok());
-  ASSERT_TRUE(gauss.ok());
   for (double u1 : {0.2, 0.5, 0.8}) {
     for (double u2 : {0.3, 0.7}) {
-      EXPECT_NEAR(*t_large->LogDensity({u1, u2}),
-                  *gauss->LogDensity({u1, u2}), 1e-2)
-          << u1 << "," << u2;
+      auto table = FamilyLikelihoodTable(Repeat({u1, u2}, 4), *corr, 1);
+      ASSERT_TRUE(table.ok());
+      const double gap2 = std::fabs(table->t[0] - table->gaussian[0]);
+      const double gap64 =
+          std::fabs(table->t[kNumDofs - 1] - table->gaussian[0]);
+      EXPECT_LT(gap64, gap2) << u1 << "," << u2;
+      EXPECT_LT(gap64, 4 * 0.02) << u1 << "," << u2;
     }
   }
 }
@@ -147,116 +289,87 @@ TEST(TCopulaTest, ConvergesToGaussianForLargeDof) {
 TEST(TCopulaTest, SmallDofHasHeavierJointTails) {
   // Tail dependence: density at the joint extreme corner is higher for
   // small dof than for the Gaussian with the same correlation.
-  auto corr = data::Equicorrelation(2, 0.5);
-  auto t4 = TCopula::Create(*corr, 4.0);
-  auto gauss = GaussianCopula::Create(*corr);
-  const double corner_t = *t4->LogDensity({0.999, 0.999});
-  const double corner_g = *gauss->LogDensity({0.999, 0.999});
-  EXPECT_GT(corner_t, corner_g);
-}
-
-TEST(TCopulaTest, SampleUniformsHaveUniformMargins) {
-  Rng rng(3);
-  auto c = TCopula::Create(*data::Equicorrelation(2, 0.6), 4.0);
-  ASSERT_TRUE(c.ok());
-  double sum0 = 0.0, sum1 = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    const auto u = c->SampleUniforms(&rng);
-    EXPECT_GT(u[0], 0.0);
-    EXPECT_LT(u[0], 1.0);
-    sum0 += u[0];
-    sum1 += u[1];
-  }
-  EXPECT_NEAR(sum0 / n, 0.5, 0.01);
-  EXPECT_NEAR(sum1 / n, 0.5, 0.01);
-}
-
-TEST(TCopulaTest, SampledKendallTauMatchesEllipticalRelation) {
-  // tau = (2/pi) asin(rho) holds for every elliptical copula, including t.
-  Rng rng(5);
-  const double rho = 0.6;
-  auto pseudo = SampleTPseudo(*data::Equicorrelation(2, rho), 4.0, 20000,
-                              &rng);
-  auto tau = stats::KendallTau(pseudo[0], pseudo[1]);
-  ASSERT_TRUE(tau.ok());
-  EXPECT_NEAR(*tau, 2.0 / M_PI * std::asin(rho), 0.02);
+  auto table = FamilyLikelihoodTable(Repeat({0.999, 0.999}, 4),
+                                     *data::Equicorrelation(2, 0.5), 1);
+  ASSERT_TRUE(table.ok());
+  EXPECT_GT(table->t[GridIndex(4.0)], table->gaussian[0]);
 }
 
 TEST(TCopulaTest, LogLikelihoodPrefersTrueDof) {
   Rng rng(7);
   auto corr = data::Equicorrelation(2, 0.5);
   auto pseudo = SampleTPseudo(*corr, 4.0, 4000, &rng);
-  auto ll_true = TCopula::Create(*corr, 4.0)->LogLikelihood(pseudo);
-  auto ll_far = TCopula::Create(*corr, 64.0)->LogLikelihood(pseudo);
-  ASSERT_TRUE(ll_true.ok());
-  ASSERT_TRUE(ll_far.ok());
-  EXPECT_GT(*ll_true, *ll_far);
+  auto table = FamilyLikelihoodTable(pseudo, *corr, 1);
+  ASSERT_TRUE(table.ok());
+  EXPECT_GT(table->t[GridIndex(4.0)], table->t[GridIndex(64.0)]);
 }
 
 TEST(EstimateDofTest, RecoversTrueDofFromGrid) {
   Rng rng(9);
   auto corr = data::Equicorrelation(3, 0.4);
   auto pseudo = SampleTPseudo(*corr, 8.0, 5000, &rng);
-  auto dof = EstimateTCopulaDof(pseudo, *corr);
-  ASSERT_TRUE(dof.ok());
-  EXPECT_GE(*dof, 4.0);
-  EXPECT_LE(*dof, 16.0);
+  auto table = FamilyLikelihoodTable(pseudo, *corr, 1);
+  ASSERT_TRUE(table.ok());
+  const double dof = kTDofGrid[table->BestDof(0)];
+  EXPECT_GE(dof, 4.0);
+  EXPECT_LE(dof, 16.0);
 }
 
 TEST(EstimateDofTest, GaussianDataPicksLargeDof) {
   Rng rng(11);
   auto corr = data::Equicorrelation(2, 0.5);
-  auto g = GaussianCopula::Create(*corr);
-  ASSERT_TRUE(g.ok());
   // Gaussian pseudo-observations: sample via the t copula at huge dof.
   auto pseudo = SampleTPseudo(*corr, 1e6, 5000, &rng);
-  auto dof = EstimateTCopulaDof(pseudo, *corr);
-  ASSERT_TRUE(dof.ok());
-  EXPECT_GE(*dof, 32.0);
+  auto table = FamilyLikelihoodTable(pseudo, *corr, 1);
+  ASSERT_TRUE(table.ok());
+  EXPECT_GE(kTDofGrid[table->BestDof(0)], 32.0);
 }
 
 TEST(EstimateDofPrivateTest, HighBudgetMatchesNonPrivate) {
   Rng rng(13);
   auto corr = data::Equicorrelation(2, 0.5);
   auto pseudo = SampleTPseudo(*corr, 4.0, 8000, &rng);
-  auto priv = EstimateTCopulaDofPrivate(pseudo, *corr, 50.0, &rng);
-  ASSERT_TRUE(priv.ok());
-  EXPECT_LE(*priv, 8.0);  // True dof 4; high budget should land close.
+  auto table = FamilyLikelihoodTable(pseudo, *corr, 10);
+  ASSERT_TRUE(table.ok());
+  auto pick = dp::ExponentialMechanism(&rng, table->DofVotes(), 50.0, 1.0);
+  ASSERT_TRUE(pick.ok());
+  EXPECT_LE(kTDofGrid[*pick], 8.0);  // True dof 4; high budget lands close.
 }
 
 TEST(EstimateDofPrivateTest, RejectsTinyData) {
   Rng rng(15);
   auto corr = data::Equicorrelation(2, 0.5);
   auto pseudo = SampleTPseudo(*corr, 4.0, 20, &rng);
-  EXPECT_FALSE(EstimateTCopulaDofPrivate(pseudo, *corr, 1.0, &rng).ok());
+  EXPECT_FALSE(FamilyLikelihoodTable(pseudo, *corr, 10).ok());
 }
 
 TEST(FamilySelectionTest, PrefersTOnTData) {
   Rng rng(17);
   auto corr = data::Equicorrelation(2, 0.5);
   auto pseudo = SampleTPseudo(*corr, 3.0, 6000, &rng);
-  auto better = TCopulaFitsBetter(pseudo, *corr);
-  ASSERT_TRUE(better.ok());
-  EXPECT_TRUE(*better);
+  auto table = FamilyLikelihoodTable(pseudo, *corr, 1);
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table->FamilyVotes(), (std::vector<double>{0.0, 1.0}));
 }
 
 TEST(FamilySelectionTest, PrefersGaussianOnGaussianData) {
   Rng rng(19);
   auto corr = data::Equicorrelation(2, 0.5);
   auto pseudo = SampleTPseudo(*corr, 1e6, 6000, &rng);
-  auto better = TCopulaFitsBetter(pseudo, *corr);
-  ASSERT_TRUE(better.ok());
-  EXPECT_FALSE(*better);
+  auto table = FamilyLikelihoodTable(pseudo, *corr, 1);
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table->FamilyVotes(), (std::vector<double>{1.0, 0.0}));
 }
 
 TEST(FamilySelectionTest, PrivateVoteHighBudgetAgreesOnTData) {
   Rng rng(21);
   auto corr = data::Equicorrelation(2, 0.5);
   auto pseudo = SampleTPseudo(*corr, 3.0, 8000, &rng);
-  auto better = TCopulaFitsBetterPrivate(pseudo, *corr, 50.0, &rng);
-  ASSERT_TRUE(better.ok());
-  EXPECT_TRUE(*better);
+  auto table = FamilyLikelihoodTable(pseudo, *corr, 10);
+  ASSERT_TRUE(table.ok());
+  auto pick = dp::ExponentialMechanism(&rng, table->FamilyVotes(), 50.0, 1.0);
+  ASSERT_TRUE(pick.ok());
+  EXPECT_EQ(*pick, 1u);
 }
 
 TEST(TSamplerTest, ProducesValidTableWithDependence) {
@@ -387,21 +500,20 @@ TEST(EmpiricalCopulaTest, DpFitValidatesEpsilon) {
   EXPECT_FALSE(EmpiricalCopula::FitDp(pseudo, 4, 0.0, &rng).ok());
 }
 
-class TCopulaAicSweep : public ::testing::TestWithParam<double> {};
+class TCopulaAicSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(TCopulaAicSweep, AicFiniteAcrossDofGrid) {
   Rng rng(27);
   auto corr = data::Equicorrelation(2, 0.4);
   auto pseudo = SampleTPseudo(*corr, 8.0, 1000, &rng);
-  auto c = TCopula::Create(*corr, GetParam());
-  ASSERT_TRUE(c.ok());
-  auto aic = c->Aic(pseudo);
-  ASSERT_TRUE(aic.ok());
-  EXPECT_TRUE(std::isfinite(*aic));
+  auto table = FamilyLikelihoodTable(pseudo, *corr, 1);
+  ASSERT_TRUE(table.ok());
+  const double ll = table->t[GetParam()];
+  EXPECT_TRUE(std::isfinite(2.0 * 2.0 - 2.0 * ll));  // C(2,2) + dof.
 }
 
 INSTANTIATE_TEST_SUITE_P(DofGrid, TCopulaAicSweep,
-                         ::testing::Values(2.0, 4.0, 8.0, 16.0, 32.0, 64.0));
+                         ::testing::Range<std::size_t>(0, kNumDofs));
 
 }  // namespace
 }  // namespace dpcopula::copula
